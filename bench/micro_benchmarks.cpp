@@ -29,6 +29,30 @@ namespace {
 
 using namespace tsn;
 
+/// Steady-state allocation count for the zero-allocation contract: tick()
+/// at the top of every timed iteration, report() after the loop. Sampling
+/// at iteration boundaries (not around the whole loop) keeps out the
+/// couple of allocations the framework makes starting/stopping its timers,
+/// which would otherwise smear ~2 allocs/run over allocs_per_iter.
+class AllocsPerIter {
+ public:
+  void tick() {
+    const std::uint64_t now = bench::alloc_count();
+    if (iters_++ == 0) first_ = now;
+    last_ = now;
+  }
+  void report(benchmark::State& state) const {
+    if (!bench::alloc_hook_active() || iters_ < 2) return;
+    state.counters["allocs_per_iter"] =
+        static_cast<double>(last_ - first_) / static_cast<double>(iters_ - 1);
+  }
+
+ private:
+  std::uint64_t first_ = 0;
+  std::uint64_t last_ = 0;
+  std::uint64_t iters_ = 0;
+};
+
 void BM_FtaAggregate(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   util::RngStream rng(1, "bm-fta");
@@ -110,28 +134,15 @@ void BM_EventQueuePostAndPop(benchmark::State& state) {
     while (auto e = q.try_pop()) benchmark::DoNotOptimize(&e);
     t += 1000;
   }
-  // Sample the counter at iteration boundaries (not around the whole
-  // loop): the framework allocates a couple of times starting/stopping
-  // its timers, which would otherwise smear a constant ~2 allocs/run
-  // over the steady-state count.
-  std::uint64_t allocs_first = 0;
-  std::uint64_t allocs_last = 0;
-  std::uint64_t iters = 0;
+  AllocsPerIter allocs;
   for (auto _ : state) {
-    const std::uint64_t now = bench::alloc_count();
-    if (iters == 0) allocs_first = now;
-    allocs_last = now;
-    ++iters;
+    allocs.tick();
     for (int i = 0; i < 64; ++i) q.post(sim::SimTime(t + (i * 7919) % 1000), [] {});
     while (auto e = q.try_pop()) benchmark::DoNotOptimize(&e);
     t += 1000;
   }
   state.SetItemsProcessed(state.iterations() * 64);
-  if (bench::alloc_hook_active() && iters > 1) {
-    state.counters["allocs_per_iter"] =
-        static_cast<double>(allocs_last - allocs_first) /
-        static_cast<double>(iters - 1);
-  }
+  allocs.report(state);
 }
 BENCHMARK(BM_EventQueuePostAndPop);
 
@@ -154,6 +165,36 @@ void BM_EventQueueScheduleCancelHalf(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_EventQueueScheduleCancelHalf);
+
+void BM_EventQueueBurstDrain(benchmark::State& state) {
+  // Same-bucket fan-out, the path-delay calibration pattern: N events in
+  // one 4.096 us level-0 bucket, drained while each of the first N pops
+  // posts a follow-up 1-64 ns later -- behind the cursor, into a window
+  // that still holds entries. Items are the 2N events posted and popped.
+  const std::int64_t n = state.range(0);
+  sim::EventQueue q;
+  std::int64_t t = 0;
+  const auto burst = [&] {
+    for (std::int64_t i = 0; i < n; ++i) q.post(sim::SimTime(t + (i * 7919) % 4096), [] {});
+    std::int64_t pops = 0;
+    while (auto e = q.try_pop()) {
+      if (pops < n) q.post(sim::SimTime(e->time.ns() + 1 + (pops * 37) % 64), [] {});
+      ++pops;
+      benchmark::DoNotOptimize(&e);
+    }
+    t += 8192; // past the follow-ups that crossed into the next bucket
+  };
+  // Warm every buffer the burst touches before counting allocations.
+  for (int w = 0; w < 4; ++w) burst();
+  AllocsPerIter allocs;
+  for (auto _ : state) {
+    allocs.tick();
+    burst();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * n);
+  allocs.report(state);
+}
+BENCHMARK(BM_EventQueueBurstDrain)->Arg(4096)->Arg(32768);
 
 void BM_PiServoSample(benchmark::State& state) {
   gptp::PiServo servo;
@@ -262,25 +303,14 @@ void BM_SwitchMulticastForward(benchmark::State& state) {
   };
   // Warm pool and wheel storage before counting (see BM_EventQueuePostAndPop).
   for (int w = 0; w < 4096; ++w) send_one();
-  // Boundary-sampled like BM_EventQueuePostAndPop: keeps the framework's
-  // own timer-bookkeeping allocations out of the steady-state count.
-  std::uint64_t allocs_first = 0;
-  std::uint64_t allocs_last = 0;
-  std::uint64_t iters = 0;
+  AllocsPerIter allocs;
   for (auto _ : state) {
-    const std::uint64_t now = bench::alloc_count();
-    if (iters == 0) allocs_first = now;
-    allocs_last = now;
-    ++iters;
+    allocs.tick();
     send_one();
   }
   benchmark::DoNotOptimize(delivered);
   state.SetItemsProcessed(static_cast<std::int64_t>(delivered));
-  if (bench::alloc_hook_active() && iters > 1) {
-    state.counters["allocs_per_iter"] =
-        static_cast<double>(allocs_last - allocs_first) /
-        static_cast<double>(iters - 1);
-  }
+  allocs.report(state);
 }
 BENCHMARK(BM_SwitchMulticastForward);
 

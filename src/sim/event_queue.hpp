@@ -18,15 +18,21 @@
 // state allocates nothing regardless of which ring slot an event lands in.
 // The entry (with its 64-byte inline closure) is written into its node
 // once at insert and read once at pop; everything in between — cascades,
-// activation, sorting, the staging merge, the spill heap — shuffles
-// trivially-copyable 24-byte (time, seq, node) keys, and re-bucketing a
-// node is a pure pointer relink.
+// activation, sorting, staging, the heap — shuffles trivially-copyable
+// 24-byte (time, seq, node) keys, and re-bucketing a node is a pure
+// pointer relink.
 // A bucket is sorted only when the cursor reaches it ("activate"), which
 // amortizes to O(log bucket-size) per event; per-level occupancy bitmaps
 // let the cursor jump over empty regions in O(1) words. Events landing
-// before the cursor (the already-activated window) go to a small staging
-// list merged on the next pop. The global pop order is min((time, seq))
-// over the activated bucket, the staging list and the heap top —
+// before the cursor (e.g. "now" while the activated window drains) are
+// staged and placed at the next pop: a batch staged after the window
+// drained is sorted and swapped in as the new window, which is cheaper
+// than heaping it; while the window still holds entries each staged key
+// is appended if it sorts past the window's tail and pushed onto the heap
+// otherwise. A behind-cursor insert therefore costs O(1) or O(log n),
+// never O(window) — re-merging the window made same-bucket fan-out
+// (path-delay calibration bursts) quadratic. The global pop order is
+// min((time, seq)) over the window head and the heap top —
 // byte-identical to the pure heap implementation this replaces.
 //
 // Cancellation uses a slab of generation-counted slots instead of a
@@ -84,7 +90,11 @@ struct QueueStats {
   std::uint64_t cancelled = 0;      ///< successful cancels
   std::uint64_t fired = 0;          ///< events popped for execution
   std::uint64_t wheel_inserts = 0;  ///< entries that landed in a wheel bucket
-  std::uint64_t staged_inserts = 0; ///< entries behind the cursor (merged at pop)
+  /// Entries behind the cursor. Placed at the next pop: sorted and swapped
+  /// in as the window if it has drained; while it still holds entries,
+  /// appended past its tail or pushed onto the heap (O(1) or O(log n),
+  /// never O(window)).
+  std::uint64_t staged_inserts = 0;
   std::uint64_t heap_spills = 0;    ///< entries beyond the wheel horizon
   std::uint64_t cascades = 0;       ///< higher-level buckets redistributed
 };
@@ -247,7 +257,7 @@ class EventQueue {
                        std::uint32_t gen, EventFn&& fn);
   void place(Key k); ///< drop into a wheel bucket; pre: cur_ <= time < horizon
   void add_bucket(int level, std::int64_t abs_idx, std::uint32_t node);
-  void merge_staged();
+  void place_staged(); ///< move staged_ into the window or the heap
   bool advance_wheel(); ///< move cursor to next occupied bucket, activate it
   void activate(std::int64_t abs_l0_idx);
   void cascade(int level, std::int64_t abs_idx);
@@ -261,8 +271,7 @@ class EventQueue {
   // which the not-yet-activated wheel begins (end of the active window).
   std::vector<Key> active_;
   std::size_t active_pos_ = 0;
-  std::vector<Key> staged_; ///< inserts behind cur_; merged at next pop
-  std::vector<Key> scratch_;
+  std::vector<Key> staged_; ///< inserts behind cur_; placed at next pop
   std::int64_t cur_ = 0;
 
   std::vector<Node> nodes_;          ///< slab holding every buffered entry
@@ -271,7 +280,7 @@ class EventQueue {
   std::array<std::uint64_t, kSlots / 64> bitmap_[3] = {};
   std::size_t wheel_count_ = 0; ///< entries currently in wheel buckets
 
-  std::vector<Key> heap_; ///< beyond-horizon spill
+  std::vector<Key> heap_; ///< beyond-horizon spill + staged keys short of the window's tail
   std::vector<std::uint32_t> slot_gen_; ///< current generation per slot
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 0;

@@ -1,6 +1,8 @@
 #include "util/config.hpp"
 
+#include <charconv>
 #include <stdexcept>
+#include <system_error>
 
 #include "util/str.hpp"
 
@@ -24,16 +26,34 @@ std::string Config::get_string(const std::string& key, std::string def) const {
   return it == values_.end() ? def : it->second;
 }
 
+namespace {
+
+/// Parses all of `v` as a T; a partial parse ("12abc"), an empty value or
+/// an out-of-range one throws, naming the key.
+template <typename T>
+T parse_number(const std::string& key, const std::string& v, const char* type) {
+  T out{};
+  const char* end = v.data() + v.size();
+  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
+  if (ec != std::errc{} || ptr != end) {
+    const std::string why = ec == std::errc::result_out_of_range ? "out-of-range " : "bad ";
+    throw std::invalid_argument("Config: " + why + type + " for '" + key + "': '" + v + "'");
+  }
+  return out;
+}
+
+} // namespace
+
 std::int64_t Config::get_int(const std::string& key, std::int64_t def) const {
   auto it = values_.find(key);
   if (it == values_.end()) return def;
-  return std::stoll(it->second);
+  return parse_number<std::int64_t>(key, it->second, "integer");
 }
 
 double Config::get_double(const std::string& key, double def) const {
   auto it = values_.find(key);
   if (it == values_.end()) return def;
-  return std::stod(it->second);
+  return parse_number<double>(key, it->second, "number");
 }
 
 bool Config::get_bool(const std::string& key, bool def) const {

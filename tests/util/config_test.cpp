@@ -39,6 +39,44 @@ TEST(ConfigTest, BoolVariants) {
   EXPECT_THROW(cfg.get_bool("c", false), std::invalid_argument);
 }
 
+TEST(ConfigTest, NumbersMustParseWhole) {
+  Config cfg;
+  cfg.set("seed", "garbage");
+  cfg.set("rounds", "12abc");
+  cfg.set("rate", "");
+  cfg.set("threads", "0.5");
+  EXPECT_THROW(cfg.get_int("seed", 0), std::invalid_argument);
+  EXPECT_THROW(cfg.get_double("seed", 0.0), std::invalid_argument);
+  EXPECT_THROW(cfg.get_int("rounds", 0), std::invalid_argument); // not 12
+  EXPECT_THROW(cfg.get_double("rounds", 0.0), std::invalid_argument);
+  EXPECT_THROW(cfg.get_int("rate", 0), std::invalid_argument);
+  EXPECT_THROW(cfg.get_double("rate", 0.0), std::invalid_argument);
+  EXPECT_THROW(cfg.get_int("threads", 0), std::invalid_argument); // not 0
+  EXPECT_DOUBLE_EQ(cfg.get_double("threads", 0.0), 0.5);
+}
+
+TEST(ConfigTest, NumberErrorNamesTheKey) {
+  Config cfg;
+  cfg.set("seed", "garbage");
+  try {
+    cfg.get_int("seed", 1);
+    FAIL() << "garbage parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'seed'"), std::string::npos) << e.what();
+  }
+}
+
+TEST(ConfigTest, OutOfRangeNumbersThrow) {
+  Config cfg;
+  cfg.set("big", "99999999999999999999");
+  cfg.set("huge", "1e999");
+  cfg.set("min", "-9223372036854775808");
+  EXPECT_THROW(cfg.get_int("big", 0), std::invalid_argument);
+  EXPECT_THROW(cfg.get_double("huge", 0.0), std::invalid_argument);
+  EXPECT_EQ(cfg.get_int("min", 0), INT64_MIN);
+  EXPECT_DOUBLE_EQ(cfg.get_double("big", 0.0), 1e20);
+}
+
 TEST(ConfigTest, WhitespaceTrimmed) {
   const char* argv[] = {"prog", " key = value "};
   Config cfg = Config::from_args(2, argv);

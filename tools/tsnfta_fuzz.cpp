@@ -77,16 +77,7 @@ int shrink_and_write(const check::FuzzCase& c, const std::string& stem) {
   return 1;
 }
 
-} // namespace
-
-int main(int argc, char** argv) {
-  util::Config cli;
-  try {
-    cli = util::Config::from_args(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "usage: tsnfta_fuzz [key=value ...]   (%s)\n", e.what());
-    return 2;
-  }
+int run(const util::Config& cli) {
   util::set_log_level(util::parse_log_level(cli.get_string("log", "warn")));
   const bool do_shrink = cli.get_bool("shrink", true);
   const bool fast_forward = cli.get_bool("ff", false);
@@ -94,14 +85,7 @@ int main(int argc, char** argv) {
   // horizon= ("600s", "90m", "36h", "1w") and duration_s= are the same
   // knob; horizon wins when both are given.
   std::int64_t duration_ns = cli.get_int("duration_s", 120) * 1'000'000'000LL;
-  if (cli.has("horizon")) {
-    try {
-      duration_ns = util::parse_duration_ns(cli.get_string("horizon"));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "tsnfta_fuzz: %s\n", e.what());
-      return 2;
-    }
-  }
+  if (cli.has("horizon")) duration_ns = util::parse_duration_ns(cli.get_string("horizon"));
 
   // ---- replay mode -------------------------------------------------------
   if (cli.has("replay")) {
@@ -216,4 +200,17 @@ int main(int argc, char** argv) {
     }
   }
   return rc;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+  // Malformed key=value or a number that does not parse whole exits 2
+  // with the usage line instead of aborting.
+  try {
+    return run(util::Config::from_args(argc, argv));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "usage: tsnfta_fuzz [key=value ...]   (%s)\n", e.what());
+    return 2;
+  }
 }

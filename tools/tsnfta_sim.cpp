@@ -71,16 +71,14 @@ struct Replica {
   obs::MetricsSnapshot metrics;
 };
 
-} // namespace
+/// An attack_at_min= / attack2_at_min= step, read before any world runs.
+struct AttackOption {
+  std::string key;
+  std::int64_t after_ns; ///< after calibration
+  std::size_t gm;
+};
 
-int main(int argc, char** argv) {
-  util::Config cli;
-  try {
-    cli = util::Config::from_args(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "usage: tsnfta_sim [key=value ...]   (%s)\n", e.what());
-    return 2;
-  }
+int run(const util::Config& cli) {
   util::set_log_level(util::parse_log_level(cli.get_string("log", "info")));
 
   experiments::ScenarioConfig base;
@@ -100,20 +98,27 @@ int main(int argc, char** argv) {
   }
 
   std::int64_t duration = cli.get_int("duration_min", 10) * 60'000'000'000LL;
-  if (cli.has("horizon")) {
-    try {
-      duration = util::parse_duration_ns(cli.get_string("horizon"));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "tsnfta_sim: %s\n", e.what());
-      return 2;
-    }
-  }
+  if (cli.has("horizon")) duration = util::parse_duration_ns(cli.get_string("horizon"));
   const bool use_ff = cli.get_bool("ff", false);
   if (use_ff && base.partitions > 0) {
     std::fprintf(stderr, "warning: ff=1 ignored with partitions>0 (fast-forward is serial-only)\n");
   }
   const std::size_t seeds =
       static_cast<std::size_t>(std::max<std::int64_t>(1, cli.get_int("seeds", 1)));
+  std::vector<AttackOption> attacks;
+  for (const char* prefix : {"attack", "attack2"}) {
+    const std::string at_key = std::string(prefix) + "_at_min";
+    if (!cli.has(at_key)) continue;
+    attacks.push_back({at_key, cli.get_int(at_key, 0) * 60'000'000'000LL,
+                       static_cast<std::size_t>(cli.get_int(std::string(prefix) + "_gm", 0))});
+  }
+  const bool inject_faults = cli.get_bool("inject_faults", false);
+  faults::InjectorConfig icfg;
+  icfg.gm_kill_period_ns = cli.get_int("gm_kill_period_min", 30) * 60'000'000'000LL;
+  icfg.standby_kills_per_hour = cli.get_double("standby_kills_per_hour", 0.65);
+  const std::int64_t bucket_ns = cli.get_int("bucket_s", 120) * 1'000'000'000LL;
+  const std::size_t threads =
+      static_cast<std::size_t>(std::max<std::int64_t>(0, cli.get_int("threads", 0)));
 
   const auto run_replica = [&](const experiments::ScenarioConfig& cfg,
                                std::size_t index) -> Replica {
@@ -132,30 +137,22 @@ int main(int argc, char** argv) {
 
     faults::Attacker attacker(scenario.control_sim(), faults::KernelVulnDb::with_defaults());
     const std::int64_t t0 = scenario.now_ns();
-    for (const char* prefix : {"attack", "attack2"}) {
-      const std::string at_key = std::string(prefix) + "_at_min";
-      if (!cli.has(at_key)) continue;
+    for (const AttackOption& a : attacks) {
       if (scenario.partitioned()) {
         // The attacker's schedule mutates a GM VM directly; that write is
         // only safe on the region owning the VM, so attack runs stay on
         // the serial path.
         if (index == 0) {
-          std::fprintf(stderr, "warning: %s ignored with partitions>0\n", at_key.c_str());
+          std::fprintf(stderr, "warning: %s ignored with partitions>0\n", a.key.c_str());
         }
         continue;
       }
-      const std::size_t gm = static_cast<std::size_t>(
-          cli.get_int(std::string(prefix) + "_gm", 0));
-      attacker.add_step({t0 + cli.get_int(at_key, 0) * 60'000'000'000LL,
-                         &scenario.gm_vm(gm % scenario.num_ecds())});
+      attacker.add_step({t0 + a.after_ns, &scenario.gm_vm(a.gm % scenario.num_ecds())});
     }
     attacker.start();
 
     std::unique_ptr<faults::FaultInjector> injector;
-    if (cli.get_bool("inject_faults", false)) {
-      faults::InjectorConfig icfg;
-      icfg.gm_kill_period_ns = cli.get_int("gm_kill_period_min", 30) * 60'000'000'000LL;
-      icfg.standby_kills_per_hour = cli.get_double("standby_kills_per_hour", 0.65);
+    if (inject_faults) {
       injector = std::make_unique<faults::FaultInjector>(scenario.control_sim(),
                                                          scenario.ecd_ptrs(), icfg);
       if (scenario.partitioned()) {
@@ -200,8 +197,7 @@ int main(int argc, char** argv) {
     return out;
   };
 
-  sweep::SweepRunner runner(
-      {.threads = static_cast<std::size_t>(std::max<std::int64_t>(0, cli.get_int("threads", 0)))});
+  sweep::SweepRunner runner({.threads = threads});
   std::printf("booting the %zu-ECD %s testbed (seed %llu%s)...\n", base.num_ecds,
               experiments::topology_name(base.topology),
               static_cast<unsigned long long>(base.seed),
@@ -247,8 +243,8 @@ int main(int argc, char** argv) {
   const auto merged = sweep::merge_series(series);
 
   experiments::print_precision_series(merged, first.cal.bound.pi_ns, first.cal.gamma_ns,
-                                      cli.get_int("bucket_s", 120) * 1'000'000'000LL);
-  if (cli.get_bool("inject_faults", false)) {
+                                      bucket_ns);
+  if (inject_faults) {
     std::printf("\nfault injection: %llu kills (%llu GM), %zu takeovers\n",
                 static_cast<unsigned long long>(sums.injector_kills),
                 static_cast<unsigned long long>(sums.injector_gm_kills), sums.takeovers);
@@ -300,4 +296,18 @@ int main(int argc, char** argv) {
     std::printf("run manifest -> %s (git %s)\n", manifest_path.c_str(), obs::build_git_sha());
   }
   return 0;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+  // Bad input -- malformed key=value, a number that does not parse whole,
+  // a combination the Scenario rejects -- exits 2 with the usage line
+  // instead of aborting. Every option is read before any world runs.
+  try {
+    return run(util::Config::from_args(argc, argv));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "usage: tsnfta_sim [key=value ...]   (%s)\n", e.what());
+    return 2;
+  }
 }
