@@ -10,11 +10,13 @@
 #include <cmath>
 
 #include "bench_common.hpp"
+#include "experiments/report.hpp"
 #include "gptp/bridge.hpp"
 #include "gptp/stack.hpp"
 #include "net/link.hpp"
 #include "net/switch.hpp"
 #include "util/stats.hpp"
+#include "util/str.hpp"
 
 using namespace tsn;
 using namespace tsn::sim::literals;
@@ -101,10 +103,10 @@ Outcome run(bool p2p_with_bridge, double residence_jitter, std::int64_t duration
 
 int main(int argc, char** argv) {
   const auto cli = tsn::bench::parse_cli(argc, argv);
-  tsn::bench::banner("Ablation: 1588 E2E (dumb switch) vs 802.1AS P2P (bridge)",
-                     "why the architecture builds on gPTP");
+  experiments::print_banner("Ablation: 1588 E2E (dumb switch) vs 802.1AS P2P (bridge)",
+                            "why the architecture builds on gPTP");
 
-  const std::int64_t duration = cli.get_int("duration_min", 5) * 60'000'000'000LL;
+  const std::int64_t duration = util::parse_duration_ns(cli.get_string("horizon", "5m"));
   std::vector<experiments::ComparisonRow> rows;
   std::vector<obs::MetricsSnapshot> metric_parts;
   double e2e_std = 0, p2p_std = 0;

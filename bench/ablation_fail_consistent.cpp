@@ -7,7 +7,9 @@
 // the majority vote evicts the faulty publisher within a couple of monitor
 // periods.
 #include "bench_common.hpp"
+#include "experiments/report.hpp"
 #include "hv/ecd.hpp"
+#include "util/str.hpp"
 
 using namespace tsn;
 using namespace tsn::sim::literals;
@@ -76,8 +78,8 @@ Outcome run(std::size_t vm_count, std::uint64_t seed) {
 
 int main(int argc, char** argv) {
   const auto cli = tsn::bench::parse_cli(argc, argv);
-  tsn::bench::banner("Ablation: fail-silent (2 VMs) vs fail-consistent (3 VMs)",
-                     "sec. II-A fault hypotheses");
+  experiments::print_banner("Ablation: fail-silent (2 VMs) vs fail-consistent (3 VMs)",
+                            "sec. II-A fault hypotheses");
 
   const Outcome two = run(2, cli.get_int("seed", 3));
   const Outcome three = run(3, cli.get_int("seed", 3));

@@ -1,21 +1,14 @@
-// Shared plumbing for the reproduction benches: key=value CLI parsing and
-// the standard header each binary prints.
+// Shared plumbing for the benches that build no Scenario (the Scenario
+// experiments are rows of tools/tsnfta_sim): key=value CLI parsing and the
+// run manifest.
 #pragma once
 
-#include <algorithm>
-#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
-#include <vector>
 
-#include "experiments/harness.hpp"
-#include "experiments/report.hpp"
 #include "obs/manifest.hpp"
-#include "sweep/sweep_runner.hpp"
 #include "util/config.hpp"
 #include "util/log.hpp"
-#include "util/str.hpp"
 
 namespace tsn::bench {
 
@@ -25,71 +18,6 @@ inline util::Config parse_cli(int argc, char** argv) {
   return cfg;
 }
 
-inline void banner(const std::string& title, const std::string& paper_ref) {
-  std::printf("\n################################################################\n");
-  std::printf("# %s\n", title.c_str());
-  std::printf("# reproduces: %s\n", paper_ref.c_str());
-  std::printf("################################################################\n");
-}
-
-inline experiments::ScenarioConfig scenario_from_cli(const util::Config& cli) {
-  experiments::ScenarioConfig cfg;
-  cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  cfg.num_ecds = static_cast<std::size_t>(
-      std::max<std::int64_t>(2, cli.get_int("num_ecds", (std::int64_t)cfg.num_ecds)));
-  cfg.topology = experiments::parse_topology(cli.get_string("topology", "mesh"));
-  cfg.num_domains = static_cast<std::size_t>(cli.get_int("num_domains", 0));
-  cfg.partitions = static_cast<std::size_t>(cli.get_int("partitions", 0));
-  cfg.sync_interval_ns = cli.get_int("sync_interval_ns", cfg.sync_interval_ns);
-  cfg.validity_threshold_ns = cli.get_double("validity_threshold_ns", cfg.validity_threshold_ns);
-  cfg.synctime_feed_forward = cli.get_bool("feed_forward", cfg.synctime_feed_forward);
-  return cfg;
-}
-
-/// Binaries whose measurement path rides the single serial event loop
-/// (attacker schedules, pcap, live injector event recording) call this
-/// right after assembling their config: it rejects `partitions=` with
-/// the reason instead of a mid-run logic_error from Scenario::sim().
-inline void require_serial(const experiments::ScenarioConfig& cfg, const char* why) {
-  if (cfg.partitions == 0) return;
-  std::fprintf(stderr, "partitions=%zu is not supported by this binary: %s\n", cfg.partitions,
-               why);
-  std::exit(2);
-}
-
-/// `threads=` knob shared by every bench: 0 (default) = hardware
-/// concurrency, 1 = run replicas inline exactly like the legacy
-/// sequential loop. Negative values are treated as 0.
-inline sweep::SweepOptions sweep_options_from_cli(const util::Config& cli) {
-  sweep::SweepOptions opts;
-  opts.threads = static_cast<std::size_t>(std::max<std::int64_t>(0, cli.get_int("threads", 0)));
-  return opts;
-}
-
-/// `seeds=` knob: number of seed replicas (seed, seed+1, ...). Defaults
-/// to 1 = today's single deterministic run; values below 1 are clamped
-/// (every bench reports at least one replica).
-inline std::size_t seeds_from_cli(const util::Config& cli) {
-  return static_cast<std::size_t>(std::max<std::int64_t>(1, cli.get_int("seeds", 1)));
-}
-
-/// Assemble the per-run manifest every reproduction binary writes: which
-/// scenario ran, on which code, what the instrumented subsystems counted.
-/// `metrics` is the submission-order merge of the per-replica snapshots.
-inline obs::RunManifest make_manifest(const std::string& tool,
-                                      const experiments::ScenarioConfig& scenario,
-                                      std::size_t replicas, std::size_t threads,
-                                      obs::MetricsSnapshot metrics) {
-  obs::RunManifest m;
-  m.tool = tool;
-  m.seed = scenario.seed;
-  m.replicas = replicas;
-  m.threads = threads;
-  m.scenario = experiments::scenario_kv(scenario);
-  m.metrics = std::move(metrics);
-  return m;
-}
-
 /// Write the manifest to `manifest=` (default `<tool>_manifest.json`) and
 /// tell the user where it went. `manifest=none` suppresses it.
 inline void write_manifest_from_cli(const util::Config& cli, const obs::RunManifest& m) {
@@ -97,19 +25,6 @@ inline void write_manifest_from_cli(const util::Config& cli, const obs::RunManif
   if (path == "none") return;
   obs::write_manifest(path, m);
   std::printf("run manifest -> %s (git %s)\n", path.c_str(), obs::build_git_sha());
-}
-
-/// Sample-count-weighted combination of per-replica bound-holding
-/// fractions (each replica holds against its own calibrated bound).
-inline double combine_holding_fractions(const std::vector<double>& holds,
-                                        const std::vector<std::size_t>& counts) {
-  double held = 0;
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < holds.size(); ++i) {
-    held += holds[i] * static_cast<double>(counts[i]);
-    total += counts[i];
-  }
-  return total == 0 ? 1.0 : held / static_cast<double>(total);
 }
 
 } // namespace tsn::bench

@@ -43,6 +43,9 @@ class ExperimentHarness {
   /// accessor merges them by (time, region) on demand; serial scenarios
   /// return the single live log directly.
   EventLog& events();
+  /// The live log of region `region` (the one log when serial). Only code
+  /// running on that region's shard may record into it.
+  EventLog& region_log(std::size_t region) { return logs_.at(region); }
   Scenario& scenario() { return scenario_; }
   const Calibration& calibration() const { return calibration_; }
 

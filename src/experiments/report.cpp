@@ -28,6 +28,13 @@ void print_comparison_table(const std::string& title, const std::vector<Comparis
   hr();
 }
 
+void print_banner(const std::string& title, const std::string& paper_ref) {
+  std::printf("\n################################################################\n");
+  std::printf("# %s\n", title.c_str());
+  std::printf("# reproduces: %s\n", paper_ref.c_str());
+  std::printf("################################################################\n");
+}
+
 void print_calibration(const ExperimentHarness::Calibration& cal, double paper_dmin_ns,
                        double paper_dmax_ns, double paper_pi_ns, double paper_gamma_ns) {
   print_comparison_table(

@@ -25,6 +25,10 @@ struct ComparisonRow {
 
 void print_comparison_table(const std::string& title, const std::vector<ComparisonRow>& rows);
 
+/// The header a reproduction run prints first: what it is and which part
+/// of the paper it reproduces.
+void print_banner(const std::string& title, const std::string& paper_ref);
+
 /// Section III-A3 scalars: dmin/dmax/E/Gamma/Pi/gamma.
 void print_calibration(const ExperimentHarness::Calibration& cal, double paper_dmin_ns,
                        double paper_dmax_ns, double paper_pi_ns, double paper_gamma_ns);

@@ -22,6 +22,7 @@ Config Config::from_args(int argc, const char* const* argv, int first) {
 }
 
 std::string Config::get_string(const std::string& key, std::string def) const {
+  read_.insert(key);
   auto it = values_.find(key);
   return it == values_.end() ? def : it->second;
 }
@@ -45,24 +46,43 @@ T parse_number(const std::string& key, const std::string& v, const char* type) {
 } // namespace
 
 std::int64_t Config::get_int(const std::string& key, std::int64_t def) const {
+  read_.insert(key);
   auto it = values_.find(key);
   if (it == values_.end()) return def;
   return parse_number<std::int64_t>(key, it->second, "integer");
 }
 
+std::int64_t Config::get_int_at_least(const std::string& key, std::int64_t def,
+                                      std::int64_t min) const {
+  const std::int64_t v = get_int(key, def);
+  if (v < min) {
+    throw std::invalid_argument("Config: '" + key + "' is " + std::to_string(v) + ", below " +
+                                std::to_string(min));
+  }
+  return v;
+}
+
 double Config::get_double(const std::string& key, double def) const {
+  read_.insert(key);
   auto it = values_.find(key);
   if (it == values_.end()) return def;
   return parse_number<double>(key, it->second, "number");
 }
 
 bool Config::get_bool(const std::string& key, bool def) const {
+  read_.insert(key);
   auto it = values_.find(key);
   if (it == values_.end()) return def;
   const std::string& v = it->second;
   if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
   if (v == "0" || v == "false" || v == "no" || v == "off") return false;
   throw std::invalid_argument("Config: bad bool for '" + key + "': " + v);
+}
+
+void Config::reject_unread() const {
+  for (const auto& [key, value] : values_) {
+    if (read_.count(key) == 0) throw std::invalid_argument("Config: unused key '" + key + "'");
+  }
 }
 
 } // namespace tsn::util

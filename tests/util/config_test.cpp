@@ -6,10 +6,10 @@ namespace tsn::util {
 namespace {
 
 TEST(ConfigTest, FromArgs) {
-  const char* argv[] = {"prog", "seed=42", "duration_h=24", "rate=2.5", "verbose=true"};
+  const char* argv[] = {"prog", "seed=42", "rounds=24", "rate=2.5", "verbose=true"};
   Config cfg = Config::from_args(5, argv);
   EXPECT_EQ(cfg.get_int("seed", 0), 42);
-  EXPECT_EQ(cfg.get_int("duration_h", 0), 24);
+  EXPECT_EQ(cfg.get_int("rounds", 0), 24);
   EXPECT_DOUBLE_EQ(cfg.get_double("rate", 0.0), 2.5);
   EXPECT_TRUE(cfg.get_bool("verbose", false));
 }
@@ -75,6 +75,26 @@ TEST(ConfigTest, OutOfRangeNumbersThrow) {
   EXPECT_THROW(cfg.get_double("huge", 0.0), std::invalid_argument);
   EXPECT_EQ(cfg.get_int("min", 0), INT64_MIN);
   EXPECT_DOUBLE_EQ(cfg.get_double("big", 0.0), 1e20);
+  cfg.set("seeds", "0");
+  EXPECT_THROW(cfg.get_int_at_least("seeds", 1, 1), std::invalid_argument);
+  EXPECT_EQ(cfg.get_int_at_least("seeds", 1, 0), 0);
+  EXPECT_EQ(cfg.get_int_at_least("missing", 4, 2), 4);
+}
+
+TEST(ConfigTest, UnreadKeyIsRejectedByName) {
+  const char* argv[] = {"prog", "seed=3", "horizn=1m", "log=warn"};
+  Config cfg = Config::from_args(4, argv);
+  EXPECT_EQ(cfg.get_int("seed", 1), 3);
+  EXPECT_TRUE(cfg.has("log"));
+  EXPECT_EQ(cfg.get_string("horizon", "10m"), "10m"); // the misspelt key does not count
+  try {
+    cfg.reject_unread();
+    FAIL() << "horizn accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'horizn'"), std::string::npos) << e.what();
+  }
+  cfg.get_string("horizn");
+  EXPECT_NO_THROW(cfg.reject_unread());
 }
 
 TEST(ConfigTest, WhitespaceTrimmed) {

@@ -90,6 +90,7 @@ int run(const util::Config& cli) {
   // ---- replay mode -------------------------------------------------------
   if (cli.has("replay")) {
     const std::string path = cli.get_string("replay");
+    cli.reject_unread();
     check::FuzzCase c;
     try {
       c = check::load_replay(path);
@@ -121,6 +122,10 @@ int run(const util::Config& cli) {
     const std::uint64_t master_seed = static_cast<std::uint64_t>(cli.get_int("master_seed", 1));
     const std::string out_dir = cli.get_string("out", ".");
     const bool with_attacks = cli.get_bool("attacks", false);
+    const std::string name = cli.get_string(
+        "name", util::format("fuzz_%llu_%llu", (unsigned long long)master_seed,
+                             (unsigned long long)index));
+    cli.reject_unread();
     check::FuzzCase c = check::derive_case(master_seed, index, duration_ns, with_attacks);
     c.fast_forward = fast_forward;
     const check::CaseResult r = check::run_case(c);
@@ -146,9 +151,6 @@ int run(const util::Config& cli) {
         std::printf("  signature did not reproduce scripted; kept the un-shrunk schedule\n");
       }
     }
-    const std::string name = cli.get_string(
-        "name", util::format("fuzz_%llu_%llu", (unsigned long long)master_seed,
-                             (unsigned long long)index));
     const std::string path = out_dir + "/" + name + ".replay";
     check::write_replay(path, scripted);
     std::printf("exported %zu scripted faults -> %s\n", scripted.replay.size(), path.c_str());
@@ -158,12 +160,13 @@ int run(const util::Config& cli) {
   // ---- campaign mode -----------------------------------------------------
   check::CampaignConfig cfg;
   cfg.master_seed = static_cast<std::uint64_t>(cli.get_int("master_seed", 1));
-  cfg.num_cases = static_cast<std::size_t>(std::max<std::int64_t>(1, cli.get_int("seeds", 64)));
-  cfg.threads = static_cast<std::size_t>(std::max<std::int64_t>(0, cli.get_int("threads", 1)));
+  cfg.num_cases = static_cast<std::size_t>(cli.get_int_at_least("seeds", 64, 1));
+  cfg.threads = static_cast<std::size_t>(cli.get_int_at_least("threads", 1, 0));
   cfg.duration_ns = duration_ns;
   cfg.attacks = cli.get_bool("attacks", false);
   cfg.fast_forward = fast_forward;
   const std::string out_dir = cli.get_string("out", ".");
+  cli.reject_unread();
 
   std::printf("fuzz campaign: %zu cases from master_seed=%llu, %llds fault phase each%s%s\n",
               cfg.num_cases, (unsigned long long)cfg.master_seed,
@@ -205,8 +208,9 @@ int run(const util::Config& cli) {
 } // namespace
 
 int main(int argc, char** argv) {
-  // Malformed key=value or a number that does not parse whole exits 2
-  // with the usage line instead of aborting.
+  // Malformed key=value, a key the chosen mode does not read or a number
+  // that does not parse whole exits 2 with the usage line instead of
+  // aborting or running defaults. Every option is read before any case runs.
   try {
     return run(util::Config::from_args(argc, argv));
   } catch (const std::invalid_argument& e) {
