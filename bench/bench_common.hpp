@@ -4,6 +4,8 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 #include "obs/manifest.hpp"
@@ -12,10 +14,17 @@
 
 namespace tsn::bench {
 
+/// A malformed argument or an unknown log level exits 2 with the usage
+/// line, as tsnfta_sim does.
 inline util::Config parse_cli(int argc, char** argv) {
-  util::Config cfg = util::Config::from_args(argc, argv);
-  util::set_log_level(util::parse_log_level(cfg.get_string("log", "warn")));
-  return cfg;
+  try {
+    util::Config cfg = util::Config::from_args(argc, argv);
+    util::set_log_level(util::parse_log_level(cfg.get_string("log", "warn")));
+    return cfg;
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "usage: %s [key=value ...]   (%s)\n", argv[0], e.what());
+    std::exit(2);
+  }
 }
 
 /// Write the manifest to `manifest=` (default `<tool>_manifest.json`) and

@@ -3,11 +3,13 @@
 // wire format, and the clock models.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <vector>
 
 #include "alloc_hook.hpp"
+#include "core/coordinator.hpp"
 #include "core/ft_shmem.hpp"
 #include "core/fta.hpp"
 #include "core/seqlock.hpp"
@@ -58,9 +60,10 @@ void BM_FtaAggregate(benchmark::State& state) {
   util::RngStream rng(1, "bm-fta");
   std::vector<double> values;
   for (int i = 0; i < n; ++i) values.push_back(rng.uniform(-1e6, 1e6));
+  std::vector<double> scratch(values.size());
   for (auto _ : state) {
-    auto copy = values;
-    benchmark::DoNotOptimize(core::fault_tolerant_average(std::move(copy), 1));
+    std::copy(values.begin(), values.end(), scratch.begin());
+    benchmark::DoNotOptimize(core::fault_tolerant_average(scratch, 1));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -70,12 +73,32 @@ void BM_Median(benchmark::State& state) {
   util::RngStream rng(1, "bm-med");
   std::vector<double> values;
   for (int i = 0; i < state.range(0); ++i) values.push_back(rng.uniform(-1e6, 1e6));
+  std::vector<double> scratch(values.size());
   for (auto _ : state) {
-    auto copy = values;
-    benchmark::DoNotOptimize(core::median(std::move(copy)));
+    std::copy(values.begin(), values.end(), scratch.begin());
+    benchmark::DoNotOptimize(core::median(scratch));
   }
 }
 BENCHMARK(BM_Median)->Arg(4)->Arg(64);
+
+void BM_RngNormal(benchmark::State& state) {
+  // One RngStream::normal per item: the Gaussian noise every hop of the
+  // model draws (oscillator wander, HW-timestamp and link jitter).
+  util::RngStream rng(1, "bm-normal");
+  double sigma = 8.0;
+  benchmark::DoNotOptimize(sigma);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.normal(0.0, sigma));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngNormal);
+
+void BM_RngEngineWord(benchmark::State& state) {
+  // One 64-bit engine word per item, refills included (one per 312 words).
+  util::RngStream rng(1, "bm-engine");
+  for (auto _ : state) benchmark::DoNotOptimize(rng.engine()());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngEngineWord);
 
 void BM_SeqLockStore(benchmark::State& state) {
   core::SeqLock<core::GmOffsetRecord> lock;
@@ -347,6 +370,73 @@ void BM_E2eSyncExchange(benchmark::State& state) {
       static_cast<std::int64_t>(slave.counters().syncs_received));
 }
 BENCHMARK(BM_E2eSyncExchange);
+
+void BM_RelayAndGate(benchmark::State& state) {
+  // One sync interval per iteration of the multi-domain path the paper's
+  // testbed runs every 125 ms: four GMs' Sync/FollowUp pairs relayed by a
+  // time-aware bridge, four offsets into a slave's coordinator and one FTA
+  // gate win. After warm-up it must allocate nothing (allocs_per_iter == 0).
+  sim::Simulation sim(1);
+  time::PhcModel quiet;
+  quiet.oscillator.initial_drift_ppm = 0.0;
+  quiet.oscillator.wander_sigma_ppm = 0.0;
+  quiet.timestamp_jitter_ns = 0.0;
+  net::SwitchConfig scfg;
+  scfg.port_count = 2;
+  scfg.residence_jitter_ns = 0.0;
+  scfg.phc = quiet;
+  net::Switch sw(sim, scfg, "sw");
+  net::Nic gm_nic(sim, quiet, net::MacAddress::from_u64(0xA), "gm");
+  net::Nic slave_nic(sim, quiet, net::MacAddress::from_u64(0xB), "slave");
+  net::LinkConfig lc;
+  lc.a_to_b = {600, 0.0};
+  lc.b_to_a = {600, 0.0};
+  net::Link l_gm(sim, gm_nic.port(), sw.port(0), lc, "gm-sw");
+  net::Link l_slave(sim, slave_nic.port(), sw.port(1), lc, "sw-slave");
+  const std::vector<std::uint8_t> domains{0, 1, 2, 3};
+  core::FtShmem shmem(domains.size());
+  core::CoordinatorConfig ccfg;
+  ccfg.domains = domains;
+  ccfg.initial_domain = 0;
+  ccfg.skip_startup = true;
+  core::MultiDomainCoordinator coordinator(sim, slave_nic.phc(), shmem, ccfg, "fta");
+  gptp::PtpStack gm_stack(sim, gm_nic, {}, "gm");
+  gptp::PtpStack slave_stack(sim, slave_nic, {}, "slave");
+  gptp::BridgeConfig bcfg;
+  for (const std::uint8_t d : domains) {
+    gptp::InstanceConfig gm;
+    gm.domain = d;
+    gm.role = gptp::PortRole::kMaster;
+    gm_stack.add_instance(gm);
+    gptp::InstanceConfig sl;
+    sl.domain = d;
+    sl.role = gptp::PortRole::kSlave;
+    slave_stack.add_instance(sl).set_offset_callback(
+        [&coordinator](const gptp::MasterOffsetSample& s) { coordinator.on_offset(s); });
+    gptp::BridgeDomainConfig dom;
+    dom.domain = d;
+    dom.slave_port = 0;
+    dom.master_ports = {1};
+    bcfg.domains.push_back(dom);
+  }
+  gptp::TimeAwareBridge bridge(sim, sw, bcfg, "br");
+  gm_stack.start();
+  slave_stack.start();
+  bridge.start();
+  constexpr std::int64_t kSyncInterval = 125'000'000;
+  sim.run_until(sim::SimTime(10'000'000'000LL)); // link delays measured, pools warm
+  AllocsPerIter allocs;
+  for (auto _ : state) {
+    allocs.tick();
+    sim.run_until(sim::SimTime(sim.now().ns() + kSyncInterval));
+  }
+  benchmark::DoNotOptimize(coordinator.stats().aggregations);
+  state.counters["relayed"] = static_cast<double>(bridge.counters().followups_relayed);
+  state.counters["aggregations"] = static_cast<double>(coordinator.stats().aggregations);
+  state.SetItemsProcessed(state.iterations());
+  allocs.report(state);
+}
+BENCHMARK(BM_RelayAndGate);
 
 void BM_AttackSyncStorm(benchmark::State& state) {
   // Sync-storm DoS load path (src/attack kSyncStorm): a compromised bridge

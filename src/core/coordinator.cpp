@@ -1,6 +1,8 @@
 #include "core/coordinator.hpp"
 
+#include <array>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 
 #include "sim/persist.hpp"
@@ -173,20 +175,22 @@ void MultiDomainCoordinator::fta_step(const gptp::MasterOffsetSample& sample) {
   if (!shmem_.try_acquire_gate(now, cfg_.sync_interval_ns)) return;
   trace(obs::TraceKind::kGateAcquire, static_cast<std::uint32_t>(sample.domain), 0, now, 0);
 
-  // This instance won the gate: aggregate all stored offsets.
-  std::vector<std::optional<GmOffsetRecord>> slots;
-  slots.reserve(shmem_.num_domains());
-  for (std::size_t i = 0; i < shmem_.num_domains(); ++i) {
-    slots.push_back(shmem_.load_offset(i));
-  }
-  const auto verdicts = evaluate_validity(slots, now, cfg_.validity);
+  // This instance won the gate: aggregate all stored offsets. The gate
+  // runs once per sync interval, so its scratch is fixed-size (FTSHMEM
+  // holds at most kMaxDomains slots) and it allocates nothing.
+  const std::size_t n = shmem_.num_domains();
+  std::array<std::optional<GmOffsetRecord>, kMaxDomains> slots;
+  for (std::size_t i = 0; i < n; ++i) slots[i] = shmem_.load_offset(i);
+  std::array<GmVerdict, kMaxDomains> verdicts;
+  evaluate_validity(std::span(slots).first(n), now, cfg_.validity, std::span(verdicts).first(n));
 
-  std::vector<double> usable;
+  std::array<double, kMaxDomains> usable{};
+  std::size_t n_usable = 0;
   std::uint32_t valid_mask = 0;
-  for (std::size_t i = 0; i < slots.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     const bool valid = verdicts[i].usable();
     if (valid) {
-      usable.push_back(slots[i]->offset_ns);
+      usable[n_usable++] = slots[i]->offset_ns;
       if (i < 32) valid_mask |= (1u << i);
     } else if (!verdicts[i].fresh) {
       c_excluded_stale_->inc();
@@ -200,22 +204,21 @@ void MultiDomainCoordinator::fta_step(const gptp::MasterOffsetSample& sample) {
     }
   }
 
-  const auto aggregated = aggregate(usable, cfg_.method, cfg_.fta_f);
+  const auto aggregated = aggregate(std::span(usable).first(n_usable), cfg_.method, cfg_.fta_f);
   if (!aggregated) {
     // Too few usable clocks: hold the current frequency (free-run) rather
     // than following a possibly-faulty minority.
     c_skipped_no_quorum_->inc();
-    trace(obs::TraceKind::kNoQuorum, static_cast<std::uint32_t>(usable.size()), valid_mask, 0,
-          0);
+    trace(obs::TraceKind::kNoQuorum, static_cast<std::uint32_t>(n_usable), valid_mask, 0, 0);
     return;
   }
 
   apply_servo(*aggregated, sample.local_rx_ts);
   c_aggregations_->inc();
-  trace(obs::TraceKind::kAggregate, static_cast<std::uint32_t>(usable.size()), valid_mask,
+  trace(obs::TraceKind::kAggregate, static_cast<std::uint32_t>(n_usable), valid_mask,
         static_cast<std::int64_t>(std::llround(*aggregated)), 0);
   shmem_.count_aggregation();
-  if (on_aggregate) on_aggregate(*aggregated, static_cast<int>(usable.size()));
+  if (on_aggregate) on_aggregate(*aggregated, static_cast<int>(n_usable));
 }
 
 } // namespace tsn::core

@@ -59,7 +59,7 @@ CompensatedSum compensated_sum(const double* first, const double* last) {
 
 } // namespace
 
-std::optional<double> fault_tolerant_average(std::vector<double> values, int f) {
+std::optional<double> fault_tolerant_average(std::span<double> values, int f) {
   if (f < 0) throw std::invalid_argument("fta: f must be >= 0");
   const std::size_t n = values.size();
   if (n < static_cast<std::size_t>(2 * f + 1)) return std::nullopt;
@@ -96,7 +96,7 @@ std::optional<double> fault_tolerant_average(std::vector<double> values, int f) 
   return sum / static_cast<double>(hi - lo);
 }
 
-std::optional<double> median(std::vector<double> values) {
+std::optional<double> median(std::span<double> values) {
   if (values.empty()) return std::nullopt;
   const std::size_t n = values.size();
   const auto mid = values.begin() + n / 2;
@@ -107,17 +107,17 @@ std::optional<double> median(std::vector<double> values) {
   return (below + *mid) / 2.0;
 }
 
-std::optional<double> mean(const std::vector<double>& values) {
+std::optional<double> mean(std::span<const double> values) {
   if (values.empty()) return std::nullopt;
   double sum = 0.0;
   for (double v : values) sum += v;
   return sum / static_cast<double>(values.size());
 }
 
-std::optional<double> aggregate(std::vector<double> values, AggregationMethod method, int f) {
+std::optional<double> aggregate(std::span<double> values, AggregationMethod method, int f) {
   switch (method) {
-    case AggregationMethod::kFta: return fault_tolerant_average(std::move(values), f);
-    case AggregationMethod::kMedian: return median(std::move(values));
+    case AggregationMethod::kFta: return fault_tolerant_average(values, f);
+    case AggregationMethod::kMedian: return median(values);
     case AggregationMethod::kMean: return mean(values);
   }
   return std::nullopt;

@@ -10,7 +10,7 @@
 
 #include <cstddef>
 #include <optional>
-#include <vector>
+#include <span>
 
 namespace tsn::core {
 
@@ -22,17 +22,19 @@ enum class AggregationMethod {
 
 /// Fault-tolerant average of `values` tolerating `f` faults. Returns
 /// nullopt when fewer than 2f+1 values are present (the trimmed set would
-/// be empty or meaningless).
-std::optional<double> fault_tolerant_average(std::vector<double> values, int f);
+/// be empty or meaningless). Reorders `values`.
+std::optional<double> fault_tolerant_average(std::span<double> values, int f);
 
 /// Exact median (average of the two central elements for even sizes).
-std::optional<double> median(std::vector<double> values);
+/// Reorders `values`.
+std::optional<double> median(std::span<double> values);
 
 /// Plain mean.
-std::optional<double> mean(const std::vector<double>& values);
+std::optional<double> mean(std::span<const double> values);
 
-/// Dispatch on the configured method ("f" only used by kFta).
-std::optional<double> aggregate(std::vector<double> values, AggregationMethod method, int f);
+/// Dispatch on the configured method ("f" only used by kFta). Reorders
+/// `values`.
+std::optional<double> aggregate(std::span<double> values, AggregationMethod method, int f);
 
 /// Precision bound multiplier u(N, f) = (N - 2f) / (N - 3f) from Kopetz &
 /// Ochsenreiter; the paper uses u(4, 1) = 2 in Pi = u * (E + Gamma).

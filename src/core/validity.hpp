@@ -8,7 +8,7 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
+#include <span>
 
 #include "core/ft_shmem.hpp"
 
@@ -28,11 +28,13 @@ struct GmVerdict {
   bool usable() const { return fresh && agrees; }
 };
 
-/// Evaluate all slots at local time `now`. Slots that never produced a
-/// sample are not fresh. Agreement: |offset_i - median(other fresh
-/// offsets)| <= threshold; with fewer than 2 fresh peers agreement
-/// defaults to true (no quorum to vote a GM out).
-std::vector<GmVerdict> evaluate_validity(const std::vector<std::optional<GmOffsetRecord>>& slots,
-                                         std::int64_t now, const ValidityConfig& cfg);
+/// Evaluate all slots at local time `now`, one verdict per slot into
+/// `verdicts` (the same size as `slots`, at most kMaxDomains: FTSHMEM's
+/// capacity, which keeps the vote's scratch on the stack). Slots that
+/// never produced a sample are not fresh. Agreement: |offset_i -
+/// median(other fresh offsets)| <= threshold; with fewer than 2 fresh
+/// peers agreement defaults to true (no quorum to vote a GM out).
+void evaluate_validity(std::span<const std::optional<GmOffsetRecord>> slots, std::int64_t now,
+                       const ValidityConfig& cfg, std::span<GmVerdict> verdicts);
 
 } // namespace tsn::core

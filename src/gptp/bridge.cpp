@@ -300,14 +300,9 @@ void TimeAwareBridge::relay_follow_up(DomainState& ds, const FollowUpMessage& fu
   const double rate_ratio = fup.rate_ratio() * ingress_ld.neighbor_rate_ratio();
   const double upstream_delay_ns = ingress_ld.mean_link_delay_ns();
 
-  std::set<std::size_t> egress = ds.cfg.master_ports;
-  if (ds.cfg.dynamic) {
-    egress.clear();
-    for (std::size_t p = 0; p < sw_.port_count(); ++p) {
-      if (p != pending.ingress_port && sw_.port(p).connected()) egress.insert(p);
-    }
-  }
-  for (std::size_t out_port : egress) {
+  // Egress in ascending port order, without copying the port set: this
+  // runs for every relayed FollowUp.
+  const auto relay_on = [&](std::size_t out_port) {
     sync_tpl_.set_domain(ds.cfg.domain);
     sync_tpl_.set_source_port(port_identity(out_port));
     sync_tpl_.set_sequence_id(pending.seq);
@@ -332,6 +327,13 @@ void TimeAwareBridge::relay_follow_up(DomainState& ds, const FollowUpMessage& fu
                  LinkDelayService::TxTsFn([this, slot](std::optional<std::int64_t> tx_ts) {
                    finish_relay(slot, tx_ts);
                  }));
+  };
+  if (ds.cfg.dynamic) {
+    for (std::size_t p = 0; p < sw_.port_count(); ++p) {
+      if (p != pending.ingress_port && sw_.port(p).connected()) relay_on(p);
+    }
+  } else {
+    for (const std::size_t out_port : ds.cfg.master_ports) relay_on(out_port);
   }
 }
 

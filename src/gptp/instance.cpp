@@ -123,6 +123,8 @@ void PtpInstance::start() {
 void PtpInstance::stop() {
   running_ = false;
   ++epoch_;
+  hop_.cancel();
+  late_launch_.cancel();
   sync_check_.cancel();
   delay_req_timer_.cancel();
   announce_tx_.cancel();
@@ -144,7 +146,7 @@ void PtpInstance::schedule_at_phc(std::int64_t target_phc, std::function<void()>
   const std::uint64_t epoch = epoch_;
   const std::int64_t delay = std::max<std::int64_t>(dt, 1);
   hop_due_ns_ = sim_.now().ns() + delay;
-  sim_.after(delay, [this, target_phc, fn = std::move(fn), epoch]() mutable {
+  hop_ = sim_.after(delay, [this, target_phc, fn = std::move(fn), epoch]() mutable {
     if (epoch != epoch_ || !running_) return;
     schedule_at_phc(target_phc, std::move(fn));
   });
@@ -178,11 +180,11 @@ void PtpInstance::prepare_sync_tx(std::int64_t launch_phc) {
     // already passed; the ETF qdisc rejects it (deadline miss).
     const std::uint64_t epoch = epoch_;
     const std::int64_t until_launch = std::max<std::int64_t>(launch_phc - nic_.phc().read(), 0);
-    sim_.after(fault_model_.late_launch_delay_ns + until_launch,
-               [this, launch_phc, epoch] {
-                 if (epoch != epoch_ || !running_) return;
-                 transmit_sync(launch_phc);
-               });
+    late_launch_ = sim_.after(fault_model_.late_launch_delay_ns + until_launch,
+                              [this, launch_phc, epoch] {
+                                if (epoch != epoch_ || !running_) return;
+                                transmit_sync(launch_phc);
+                              });
     return;
   }
   transmit_sync(launch_phc);
@@ -430,13 +432,13 @@ void PtpInstance::arm_sync_hop_at(std::int64_t due_ns) {
   hop_due_ns_ = due_ns;
   if (cfg_.align_launch) {
     const std::int64_t boundary = next_boundary_phc_;
-    sim_.at(sim::SimTime{due_ns}, [this, boundary, epoch] {
+    hop_ = sim_.at(sim::SimTime{due_ns}, [this, boundary, epoch] {
       if (epoch != epoch_ || !running_) return;
       schedule_at_phc(boundary - cfg_.launch_guard_ns,
                       [this, boundary] { prepare_sync_tx(boundary); });
     });
   } else {
-    sim_.at(sim::SimTime{due_ns}, [this, epoch] {
+    hop_ = sim_.at(sim::SimTime{due_ns}, [this, epoch] {
       if (epoch != epoch_ || !running_) return;
       schedule_at_phc(next_boundary_phc_, [this] { prepare_sync_tx(0); });
     });

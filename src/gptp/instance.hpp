@@ -180,6 +180,11 @@ class PtpInstance {
   std::uint16_t sync_seq_ = 0;
   std::int64_t next_boundary_phc_ = 0;
   std::int64_t hop_due_ns_ = -1; ///< sim-time due of the pending chain hop
+  // The pending chain hop and late-launch retry. stop() cancels both: the
+  // owner may destroy a stopped instance (a VM shutdown drops its stack),
+  // so no queued closure may still point at it.
+  sim::EventHandle hop_;
+  sim::EventHandle late_launch_;
   util::RngStream fault_rng_;
   InstanceFaultModel fault_model_;
 

@@ -47,8 +47,8 @@ void Port::arm_launch(std::uint32_t slot, std::int64_t remaining_phc) {
   const double rate = phc_->effective_rate();
   const auto remaining_true = static_cast<std::int64_t>(
       std::llround(static_cast<double>(remaining_phc) / rate));
-  sim_.after(std::max<std::int64_t>(remaining_true, 1),
-             [this, slot] { fire_launch(slot); });
+  etf_pending_[slot].wake =
+      sim_.after(std::max<std::int64_t>(remaining_true, 1), [this, slot] { fire_launch(slot); });
 }
 
 void Port::fire_launch(std::uint32_t slot) {
@@ -62,6 +62,24 @@ void Port::fire_launch(std::uint32_t slot) {
   TxCallback cb = std::move(p.cb);
   etf_free_.push_back(slot);
   launch_now(frame, cb);
+}
+
+void Port::set_up(bool up) {
+  up_ = up;
+  if (up) return;
+  // The owner of a callback may be gone by launch time (a VM shutdown
+  // destroys its gPTP stack), so a downed port reports its queued frames
+  // now instead.
+  const std::size_t n = etf_pending_.size();
+  for (std::uint32_t slot = 0; slot < n; ++slot) {
+    PendingLaunch& p = etf_pending_[slot];
+    if (!p.wake.pending()) continue;
+    p.wake.cancel();
+    p.frame = {};
+    TxCallback cb = std::move(p.cb);
+    etf_free_.push_back(slot);
+    if (cb) cb(TxReport{TxReport::Status::kPortDown, std::nullopt});
+  }
 }
 
 void Port::transmit(FrameRef frame, TxOptions opts) {

@@ -96,7 +96,9 @@ class Port {
   Link* link() const { return link_; }
   bool connected() const { return link_ != nullptr; }
 
-  void set_up(bool up) { up_ = up; }
+  /// Taking the port down flushes its ETF queue: each frame still waiting
+  /// for its launch time completes at once with kPortDown.
+  void set_up(bool up);
   bool is_up() const { return up_; }
 
   void set_etf_config(const EtfConfig& cfg) { etf_ = cfg; }
@@ -133,6 +135,7 @@ class Port {
     FrameRef frame;
     std::int64_t launch_time = 0;
     TxCallback cb;
+    sim::EventHandle wake; ///< the fire_launch event; pending while the slot is in use
   };
 
   sim::Simulation& sim_;

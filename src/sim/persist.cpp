@@ -1,7 +1,5 @@
 #include "sim/persist.hpp"
 
-#include <sstream>
-
 namespace tsn::sim {
 
 namespace {
@@ -25,9 +23,9 @@ void StateWriter::begin_section(std::string_view name) {
 }
 
 void StateWriter::rng(const util::RngStream& s) {
-  std::ostringstream os;
-  os << const_cast<util::RngStream&>(s).engine();
-  str(os.str());
+  const util::Mt19937_64::State& words = s.engine().words();
+  put(words.data(), sizeof words);
+  u64(s.engine().index());
 }
 
 void StateReader::get(void* p, std::size_t n) {
@@ -50,9 +48,14 @@ void StateReader::begin_section(std::string_view name) {
 }
 
 void StateReader::rng(util::RngStream& s) {
-  std::istringstream is(str());
-  is >> s.engine();
-  if (!is) throw std::runtime_error("StateReader: bad RNG engine state");
+  util::Mt19937_64::State words{};
+  get(words.data(), sizeof words);
+  const std::uint64_t index = u64();
+  if (index > util::Mt19937_64::kStateWords) {
+    throw std::runtime_error("StateReader: bad RNG engine state (index " + std::to_string(index) +
+                             ")");
+  }
+  s.engine().set_state(words, static_cast<std::size_t>(index));
 }
 
 } // namespace tsn::sim

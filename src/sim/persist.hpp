@@ -75,7 +75,7 @@ class StateWriter {
     u64(s.size());
     put(s.data(), s.size());
   }
-  /// mt19937_64 engine state via its standard text serialization.
+  /// Engine state: the state words and the index of the next word.
   void rng(const util::RngStream& s);
   template <typename T>
   void opt_i64(const std::optional<T>& v) {

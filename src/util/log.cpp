@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdio>
 #include <mutex>
+#include <stdexcept>
 
 #include "util/str.hpp"
 
@@ -36,7 +37,8 @@ LogLevel parse_log_level(std::string_view name) {
   if (name == "warn") return LogLevel::kWarn;
   if (name == "error") return LogLevel::kError;
   if (name == "off") return LogLevel::kOff;
-  return LogLevel::kInfo;
+  throw std::invalid_argument("unknown log level '" + std::string(name) +
+                              "' (trace, debug, info, warn, error or off)");
 }
 
 void log_write(LogLevel level, std::string_view tag, std::string_view msg) {

@@ -17,7 +17,8 @@ enum class LogLevel { kTrace = 0, kDebug = 1, kInfo = 2, kWarn = 3, kError = 4, 
 void set_log_level(LogLevel level);
 LogLevel log_level();
 
-/// Parse "trace"|"debug"|"info"|"warn"|"error"|"off" (defaults to kInfo).
+/// Parse "trace"|"debug"|"info"|"warn"|"error"|"off"; any other name
+/// throws std::invalid_argument naming it.
 LogLevel parse_log_level(std::string_view name);
 
 /// Core sink: writes "[LVL] [tag] message\n" to stderr under a mutex.

@@ -5,8 +5,17 @@
 // reproducible and, crucially, makes a component's random sequence
 // independent of the global event interleaving: adding a new component does
 // not perturb the draws of existing ones.
+//
+// The engine and the distributions are written out here rather than taken
+// from <random> because every hop of the model draws Gaussian noise: the
+// libstdc++ versions compile to two data-dependent branches per engine word
+// on baseline x86-64 (DESIGN.md §6c). Every draw is bit-identical to
+// std::mt19937_64 feeding the libstdc++ distributions; tests/util/rng_test.cpp
+// pins that against the standard library as the reference.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <string_view>
@@ -15,6 +24,57 @@ namespace tsn::util {
 
 /// 64-bit FNV-1a hash, used to derive per-stream seeds from names.
 std::uint64_t fnv1a64(std::string_view s);
+
+/// static_cast<double>(u), rounded to nearest-even, without the sign test
+/// that baseline x86-64 compiles the unsigned conversion to. Both 32-bit
+/// halves convert exactly, so the add is the one rounding step.
+inline double u64_to_double(std::uint64_t u) {
+  const double hi = static_cast<double>(static_cast<std::int64_t>(u >> 32)) * 0x1p32;
+  const double lo = static_cast<double>(static_cast<std::int64_t>(u & 0xffffffffu));
+  return hi + lo;
+}
+
+/// MT19937-64: the engine std::mt19937_64 specifies, with the same seed_seq
+/// seeding, recurrence, tempering and output sequence. The refill's twist
+/// is branch-free. A UniformRandomBitGenerator, so std::shuffle and the std
+/// distributions accept it.
+class Mt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr std::size_t kStateWords = 312;
+  using State = std::array<std::uint64_t, kStateWords>;
+
+  explicit Mt19937_64(std::seed_seq& seq);
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  result_type operator()() {
+    if (index_ >= kStateWords) refill();
+    std::uint64_t z = state_[index_++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    z ^= z >> 43;
+    return z;
+  }
+
+  /// Raw state for snapshots: the state words and the index of the next
+  /// word to temper (kStateWords means a refill is due).
+  const State& words() const { return state_; }
+  std::size_t index() const { return index_; }
+  /// Restore a state taken from words()/index(); index <= kStateWords.
+  void set_state(const State& words, std::size_t index) {
+    state_ = words;
+    index_ = index;
+  }
+
+ private:
+  void refill();
+
+  State state_{};
+  std::size_t index_ = kStateWords;
+};
 
 class RngStream {
  public:
@@ -34,11 +94,14 @@ class RngStream {
   /// Bernoulli with probability p.
   bool chance(double p);
 
-  /// Underlying engine, for std distributions not wrapped above.
-  std::mt19937_64& engine() { return engine_; }
+  /// Underlying engine, for std algorithms and snapshots.
+  Mt19937_64& engine() { return engine_; }
+  const Mt19937_64& engine() const { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
+  explicit RngStream(std::seed_seq&& seq) : engine_(seq) {}
+
+  Mt19937_64 engine_;
 };
 
 /// A random walk clamped to [-bound, +bound]; used for oscillator wander.

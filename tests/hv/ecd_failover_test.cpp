@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "hv/ecd.hpp"
+#include "net/link.hpp"
 
 namespace tsn::hv {
 namespace {
@@ -183,6 +184,34 @@ TEST(EcdTest, CompromiseBeforeBootAppliesAfterBuild) {
   ASSERT_NE(inst, nullptr);
   EXPECT_TRUE(inst->is_malicious());
   EXPECT_TRUE(vm.compromised());
+}
+
+TEST(EcdTest, GmShutdownCancelsPendingSyncWork) {
+  // A GM VM killed with its sync-chain hop pending (0.55 s) or with its
+  // Sync waiting in the ETF queue (0.999 s, 1 ms before the launch
+  // boundary): shutdown cancels that event, so nothing queued still points
+  // into the destroyed gPTP stack, and the rebooted GM's new stack syncs on.
+  for (const std::int64_t kill_at : {550_ms, 999_ms}) {
+    Simulation sim{5};
+    Ecd ecd(sim, {"ecd", quiet(), {}});
+    auto cfg = vm_cfg("gm", 0x21);
+    cfg.gm_domain = 1;
+    ClockSyncVm& gm = ecd.add_clock_sync_vm(cfg);
+    net::Nic peer(sim, quiet(), net::MacAddress::from_u64(0x99), "peer");
+    net::LinkConfig lc;
+    lc.a_to_b = {500, 0.0};
+    lc.b_to_a = {500, 0.0};
+    net::Link link(sim, gm.nic().port(), peer.port(), lc, "gm-peer");
+    ecd.start();
+    sim.run_until(SimTime(kill_at));
+    const std::uint64_t cancelled = sim.queue().stats().cancelled;
+    gm.shutdown();
+    EXPECT_EQ(sim.queue().stats().cancelled, cancelled + 1) << kill_at;
+    sim.run_until(SimTime(kill_at + 2_s));
+    gm.boot(false);
+    sim.run_until(SimTime(kill_at + 4_s));
+    EXPECT_GE(gm.stack()->instance_for_domain(1)->counters().syncs_sent, 10u) << kill_at;
+  }
 }
 
 } // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -189,6 +190,33 @@ TEST(SimSnapshotTest, HashCoversComponentState) {
   const auto sb = b.snapshot();
   EXPECT_NE(sa.hash, sb.hash);
   EXPECT_NE(sa.bytes, sb.bytes);
+}
+
+TEST(SimSnapshotTest, RngStateRoundTripResumesMidBuffer) {
+  // Taken 100 words into the second 312-word block, restored into a stream
+  // of another seed: the restored stream continues the saved one exactly,
+  // across the next refill too.
+  tsn::util::RngStream saved(21, "persist");
+  for (int i = 0; i < 412; ++i) saved.engine()();
+  tsn::sim::StateWriter w;
+  w.rng(saved);
+  tsn::util::RngStream restored(99, "other");
+  tsn::sim::StateReader r(w.data());
+  r.rng(restored);
+  EXPECT_TRUE(r.at_end());
+  for (int i = 0; i < 1000; ++i) ASSERT_EQ(restored.engine()(), saved.engine()()) << i;
+  EXPECT_EQ(restored.normal(0.0, 8.0), saved.normal(0.0, 8.0));
+}
+
+TEST(SimSnapshotTest, RngStateWithIndexPastTheStateIsRejected) {
+  tsn::util::RngStream s(1, "persist");
+  tsn::sim::StateWriter w;
+  w.rng(s);
+  std::vector<std::uint8_t> bytes = w.data();
+  const std::uint64_t bad_index = tsn::util::Mt19937_64::kStateWords + 1;
+  std::memcpy(bytes.data() + bytes.size() - sizeof bad_index, &bad_index, sizeof bad_index);
+  tsn::sim::StateReader r(bytes);
+  EXPECT_THROW(r.rng(s), std::runtime_error);
 }
 
 TEST(SimSnapshotTest, RestoreWithMismatchedTargetOrderThrows) {

@@ -2,8 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <string>
+#include <vector>
+
 namespace tsn::util {
 namespace {
+
+// The reference for every bitwise check below: the standard engine seeded
+// exactly as RngStream seeds its own, with the libstdc++ distributions.
+std::mt19937_64 reference_engine(std::uint64_t seed, std::string_view name) {
+  std::seed_seq seq{seed, fnv1a64(name), std::uint64_t{0x9e3779b97f4a7c15ULL}};
+  return std::mt19937_64(seq);
+}
+
+std::uint64_t bits(double d) { return std::bit_cast<std::uint64_t>(d); }
+
+constexpr int kDraws = 1 << 20;
 
 TEST(RngTest, DeterministicForSameSeedAndName) {
   RngStream a(42, "foo");
@@ -104,6 +123,136 @@ TEST(BoundedRandomWalkTest, ActuallyMoves) {
   }
   EXPECT_LT(min, -0.5);
   EXPECT_GT(max, 0.5);
+}
+
+TEST(RngKernelTest, EngineMatchesStdMt19937_64) {
+  // 2000 words cross six refills of the 312-word state.
+  for (const auto& [seed, name] : std::vector<std::pair<std::uint64_t, std::string>>{
+           {0, "default"}, {1, "osc/ecd0/vm0/nic/phc"}, {42, "link/sw0-sw1"},
+           {0xffffffffffffffffULL, ""}, {7, "phc-ts/ecd3/vm1/nic"}}) {
+    RngStream s(seed, name);
+    std::mt19937_64 ref = reference_engine(seed, name);
+    for (int i = 0; i < 2000; ++i) ASSERT_EQ(s.engine()(), ref()) << name << " word " << i;
+  }
+}
+
+TEST(RngKernelTest, SatisfiesUniformRandomBitGenerator) {
+  static_assert(std::uniform_random_bit_generator<Mt19937_64>);
+  RngStream s(3, "shuffle");
+  std::mt19937_64 ref = reference_engine(3, "shuffle");
+  std::vector<int> a(100);
+  for (int i = 0; i < 100; ++i) a[i] = i;
+  std::vector<int> b = a;
+  std::shuffle(a.begin(), a.end(), s.engine());
+  std::shuffle(b.begin(), b.end(), ref);
+  EXPECT_EQ(a, b);
+}
+
+TEST(RngKernelTest, NormalMatchesStdBitwise) {
+  RngStream s(11, "normal");
+  std::mt19937_64 ref = reference_engine(11, "normal");
+  const double sigmas[] = {8.0, 1e-3, 0.5, 2500.0};
+  const double means[] = {0.0, -3.25, 1e9, 0.0};
+  for (int i = 0; i < kDraws; ++i) {
+    const double mean = means[i & 3];
+    const double sigma = sigmas[i & 3];
+    const double want = std::normal_distribution<double>(mean, sigma)(ref);
+    ASSERT_EQ(bits(s.normal(mean, sigma)), bits(want)) << "draw " << i;
+  }
+}
+
+TEST(RngKernelTest, UniformsMatchStdBitwise) {
+  RngStream s(12, "uniform");
+  std::mt19937_64 ref = reference_engine(12, "uniform");
+  for (int i = 0; i < kDraws; ++i) {
+    ASSERT_EQ(bits(s.uniform01()), bits(std::uniform_real_distribution<double>(0.0, 1.0)(ref)))
+        << "uniform01 draw " << i;
+    const double lo = (i & 1) ? -1e6 : 0.25;
+    const double hi = (i & 2) ? 1e6 : 0.5;
+    ASSERT_EQ(bits(s.uniform(lo, hi)), bits(std::uniform_real_distribution<double>(lo, hi)(ref)))
+        << "uniform draw " << i;
+  }
+}
+
+TEST(RngKernelTest, UniformIntMatchesStd) {
+  // Small, odd, power-of-two, rejection-heavy (just past 2^63) and
+  // full-width ranges cover every branch of the reduction.
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::pair<std::int64_t, std::int64_t> ranges[] = {
+      {0, 3}, {-1000, 1000}, {5, 5}, {0, (std::int64_t{1} << 40) - 1}, {kMin, 0}, {kMin, kMax},
+      {-7, 1'000'000'006}, {0, kMax}};
+  RngStream s(13, "uniform_int");
+  std::mt19937_64 ref = reference_engine(13, "uniform_int");
+  for (int i = 0; i < kDraws; ++i) {
+    const auto [lo, hi] = ranges[i % std::size(ranges)];
+    ASSERT_EQ(s.uniform_int(lo, hi), std::uniform_int_distribution<std::int64_t>(lo, hi)(ref))
+        << "draw " << i << " range [" << lo << ", " << hi << "]";
+  }
+}
+
+TEST(RngKernelTest, ExponentialMatchesStdBitwise) {
+  RngStream s(14, "exponential");
+  std::mt19937_64 ref = reference_engine(14, "exponential");
+  for (int i = 0; i < kDraws; ++i) {
+    const double mean = (i & 1) ? 2.5 : 3.6e12;
+    const double want = std::exponential_distribution<double>(1.0 / mean)(ref);
+    ASSERT_EQ(bits(s.exponential(mean)), bits(want)) << "draw " << i;
+  }
+}
+
+TEST(RngKernelTest, RandomWalkMatchesStdBitwise) {
+  RngStream s(15, "walk");
+  std::mt19937_64 ref = reference_engine(15, "walk");
+  BoundedRandomWalk walk(0.1, 0.05, 1.0);
+  double want = 0.1;
+  for (int i = 0; i < kDraws; ++i) {
+    want += std::normal_distribution<double>(0.0, 0.05)(ref);
+    if (want > 1.0) want = 2 * 1.0 - want;
+    if (want < -1.0) want = -2 * 1.0 - want;
+    want = std::clamp(want, -1.0, 1.0);
+    ASSERT_EQ(bits(walk.step(s)), bits(want)) << "step " << i;
+  }
+}
+
+TEST(RngKernelTest, U64ToDoubleRoundsLikeStaticCast) {
+  const std::uint64_t edges[] = {0,
+                                 1,
+                                 (std::uint64_t{1} << 53) - 1,
+                                 std::uint64_t{1} << 53,
+                                 (std::uint64_t{1} << 53) + 1, // tie: rounds to even
+                                 (std::uint64_t{1} << 54) + 2, // tie: rounds to even
+                                 (std::uint64_t{1} << 54) + 6, // tie: rounds up to even
+                                 0xffffffffULL,
+                                 0x100000000ULL,
+                                 (std::uint64_t{1} << 63) - 1,
+                                 std::uint64_t{1} << 63,
+                                 (std::uint64_t{1} << 63) + 1,
+                                 0xfffffffffffffbffULL, // just below the round-up to 2^64
+                                 0xfffffffffffffc00ULL, // tie: rounds to 2^64
+                                 ~std::uint64_t{0}};
+  for (const std::uint64_t u : edges) {
+    EXPECT_EQ(bits(u64_to_double(u)), bits(static_cast<double>(u))) << std::hex << u;
+  }
+  std::mt19937_64 words(99);
+  for (int i = 0; i < kDraws; ++i) {
+    // Shift by 0..63 so short and long words both get exercised.
+    const std::uint64_t u = words() >> (i & 63);
+    ASSERT_EQ(bits(u64_to_double(u)), bits(static_cast<double>(u))) << std::hex << u;
+  }
+}
+
+TEST(RngKernelTest, GoldenValues) {
+  // Pinned outputs: a toolchain or library change that moves a draw must
+  // fail here, not silently re-baseline every simulated statistic.
+  RngStream s(1, "golden");
+  EXPECT_EQ(s.engine()(), 0xccf5e0b944c984d1ULL);
+  for (int i = 0; i < 1000; ++i) s.engine()();
+  EXPECT_EQ(s.engine()(), 0xbc0bd67b0f16bb8dULL);
+  EXPECT_EQ(bits(s.uniform01()), bits(0x1.d8a41275dc94p-2));
+  EXPECT_EQ(bits(s.normal(0.0, 8.0)), bits(-0x1.754c97fc950e9p+2));
+  EXPECT_EQ(bits(s.exponential(2.5)), bits(0x1.75c8c0e6b74c3p+1));
+  EXPECT_EQ(s.uniform_int(-1000, 1000), 613);
 }
 
 } // namespace
