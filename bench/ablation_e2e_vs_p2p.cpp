@@ -102,17 +102,23 @@ Outcome run(bool p2p_with_bridge, double residence_jitter, std::int64_t duration
 } // namespace
 
 int main(int argc, char** argv) {
-  const auto cli = tsn::bench::parse_cli(argc, argv);
+  struct Options {
+    std::int64_t duration_ns;
+    std::string manifest;
+  };
+  const Options opt = tsn::bench::parse_cli(argc, argv, [](const util::Config& cli) {
+    return Options{util::parse_duration_ns(cli.get_string("horizon", "5m")),
+                   tsn::bench::manifest_path(cli, "ablation_e2e_vs_p2p")};
+  });
   experiments::print_banner("Ablation: 1588 E2E (dumb switch) vs 802.1AS P2P (bridge)",
                             "why the architecture builds on gPTP");
 
-  const std::int64_t duration = util::parse_duration_ns(cli.get_string("horizon", "5m"));
   std::vector<experiments::ComparisonRow> rows;
   std::vector<obs::MetricsSnapshot> metric_parts;
   double e2e_std = 0, p2p_std = 0;
   for (double jitter : {0.0, 100.0, 400.0}) {
-    const Outcome e2e = run(false, jitter, duration);
-    const Outcome p2p = run(true, jitter, duration);
+    const Outcome e2e = run(false, jitter, opt.duration_ns);
+    const Outcome p2p = run(true, jitter, opt.duration_ns);
     metric_parts.push_back(e2e.metrics);
     metric_parts.push_back(p2p.metrics);
     if (jitter == 400.0) {
@@ -140,10 +146,10 @@ int main(int argc, char** argv) {
   manifest.replicas = metric_parts.size();
   manifest.threads = 1;
   manifest.scenario["residence_jitter_ns"] = "0,100,400";
-  manifest.scenario["duration_ns"] = std::to_string(duration);
+  manifest.scenario["duration_ns"] = std::to_string(opt.duration_ns);
   manifest.metrics = obs::merge_snapshots(metric_parts);
   manifest.extra["e2e_std_ns_j400"] = util::format("%.1f", e2e_std);
   manifest.extra["p2p_std_ns_j400"] = util::format("%.1f", p2p_std);
-  tsn::bench::write_manifest_from_cli(cli, manifest);
+  tsn::bench::write_manifest(opt.manifest, manifest);
   return ok ? 0 : 1;
 }

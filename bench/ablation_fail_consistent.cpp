@@ -77,12 +77,19 @@ Outcome run(std::size_t vm_count, std::uint64_t seed) {
 } // namespace
 
 int main(int argc, char** argv) {
-  const auto cli = tsn::bench::parse_cli(argc, argv);
+  struct Options {
+    std::uint64_t seed;
+    std::string manifest;
+  };
+  const Options opt = bench::parse_cli(argc, argv, [](const util::Config& cli) {
+    return Options{static_cast<std::uint64_t>(cli.get_int("seed", 3)),
+                   bench::manifest_path(cli, "ablation_fail_consistent")};
+  });
   experiments::print_banner("Ablation: fail-silent (2 VMs) vs fail-consistent (3 VMs)",
                             "sec. II-A fault hypotheses");
 
-  const Outcome two = run(2, cli.get_int("seed", 3));
-  const Outcome three = run(3, cli.get_int("seed", 3));
+  const Outcome two = run(2, opt.seed);
+  const Outcome three = run(3, opt.seed);
 
   experiments::print_comparison_table(
       "A VM publishes consistently wrong CLOCK_SYNCTIME (+50 us)",
@@ -107,7 +114,7 @@ int main(int argc, char** argv) {
   // No ScenarioConfig here (Ecd-level bench), so assemble the manifest by hand.
   obs::RunManifest manifest;
   manifest.tool = "ablation_fail_consistent";
-  manifest.seed = static_cast<std::uint64_t>(cli.get_int("seed", 3));
+  manifest.seed = opt.seed;
   manifest.replicas = 2;
   manifest.threads = 1;
   manifest.scenario["vm_counts"] = "2,3";
@@ -117,6 +124,6 @@ int main(int argc, char** argv) {
   manifest.extra["detected_3vm"] = three.detected ? "1" : "0";
   manifest.extra["residual_ns_2vm"] = util::format("%.1f", two.residual_error_ns);
   manifest.extra["residual_ns_3vm"] = util::format("%.1f", three.residual_error_ns);
-  bench::write_manifest_from_cli(cli, manifest);
+  bench::write_manifest(opt.manifest, manifest);
   return ok ? 0 : 1;
 }

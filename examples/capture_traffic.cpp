@@ -25,8 +25,12 @@ int main() {
 
   gptp::PtpStack stack_gm(sim, gm, {}, "GM");
   gptp::PtpStack stack_slave(sim, slave, {}, "SLAVE");
-  stack_gm.add_instance({.role = gptp::PortRole::kMaster});
-  auto& inst = stack_slave.add_instance({.role = gptp::PortRole::kSlave});
+  gptp::InstanceConfig gm_cfg;
+  gm_cfg.role = gptp::PortRole::kMaster;
+  gptp::InstanceConfig slave_cfg;
+  slave_cfg.role = gptp::PortRole::kSlave;
+  stack_gm.add_instance(gm_cfg);
+  auto& inst = stack_slave.add_instance(slave_cfg);
   inst.enable_local_servo({});
 
   const char* path = "gptp_capture.pcap";

@@ -1,7 +1,6 @@
 #include "attack/attack.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "experiments/scenario.hpp"
@@ -15,6 +14,7 @@
 #include "sim/simulation.hpp"
 #include "tsn_time/phc_clock.hpp"
 #include "util/rng.hpp"
+#include "util/round.hpp"
 #include "util/str.hpp"
 
 namespace tsn::attack {
@@ -248,7 +248,7 @@ void AttackDriver::apply(std::size_t i, bool enable) {
   switch (s.kind) {
     case AttackKind::kDelayConst:
       if (enable) {
-        h.link->set_delay_attack(true, static_cast<std::int64_t>(std::llround(s.magnitude)), 0.0);
+        h.link->set_delay_attack(true, util::round_i64(s.magnitude), 0.0);
       } else {
         h.link->clear_delay_attack(true);
       }
@@ -277,13 +277,13 @@ void AttackDriver::apply(std::size_t i, bool enable) {
     case AttackKind::kSyncStorm:
       if (enable) {
         h.bridge->start_sync_storm(kStormDomain,
-                                   static_cast<std::int64_t>(std::llround(s.magnitude)));
+                                   util::round_i64(s.magnitude));
       } else {
         h.bridge->stop_sync_storm();
       }
       break;
     case AttackKind::kTimerStep:
-      if (enable) h.phc->step(static_cast<std::int64_t>(std::llround(s.magnitude)));
+      if (enable) h.phc->step(util::round_i64(s.magnitude));
       break;
     case AttackKind::kTimerSkew:
       if (enable) {

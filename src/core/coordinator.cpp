@@ -7,6 +7,7 @@
 
 #include "sim/persist.hpp"
 #include "util/log.hpp"
+#include "util/round.hpp"
 
 namespace tsn::core {
 
@@ -18,12 +19,11 @@ MultiDomainCoordinator::MultiDomainCoordinator(sim::Simulation& sim, time::PhcCl
     throw std::invalid_argument("coordinator: domain list must match FTSHMEM size");
   }
   for (std::size_t i = 0; i < cfg_.domains.size(); ++i) {
-    slot_map_[cfg_.domains[i]] = i;
+    if (find_slot(cfg_.domains[i]) != i) {
+      throw std::invalid_argument("coordinator: duplicate domain numbers");
+    }
   }
-  if (slot_map_.size() != cfg_.domains.size()) {
-    throw std::invalid_argument("coordinator: duplicate domain numbers");
-  }
-  if (slot_map_.count(cfg_.initial_domain) == 0) {
+  if (find_slot(cfg_.initial_domain) == cfg_.domains.size()) {
     throw std::invalid_argument("coordinator: initial domain not in domain list");
   }
   last_validity_.assign(cfg_.domains.size(), true);
@@ -80,14 +80,21 @@ CoordinatorStats MultiDomainCoordinator::stats() const {
   return s;
 }
 
+std::size_t MultiDomainCoordinator::find_slot(std::uint8_t domain) const {
+  std::size_t slot = 0;
+  while (slot < cfg_.domains.size() && cfg_.domains[slot] != domain) ++slot;
+  return slot;
+}
+
 std::size_t MultiDomainCoordinator::slot_of(std::uint8_t domain) const {
-  return slot_map_.at(domain);
+  const std::size_t slot = find_slot(domain);
+  if (slot == cfg_.domains.size()) throw std::out_of_range("coordinator: domain not aggregated");
+  return slot;
 }
 
 void MultiDomainCoordinator::on_offset(const gptp::MasterOffsetSample& sample) {
-  const auto it = slot_map_.find(sample.domain);
-  if (it == slot_map_.end()) return; // domain we do not aggregate
-  const std::size_t slot = it->second;
+  const std::size_t slot = find_slot(sample.domain);
+  if (slot == cfg_.domains.size()) return; // domain we do not aggregate
 
   GmOffsetRecord record;
   record.offset_ns = sample.offset_ns;
@@ -97,19 +104,19 @@ void MultiDomainCoordinator::on_offset(const gptp::MasterOffsetSample& sample) {
   c_samples_stored_->inc();
 
   if (shmem_.phase() == SyncPhase::kStartup) {
-    startup_step(slot, sample);
+    startup_step(sample);
   } else {
     fta_step(sample);
   }
 }
 
 void MultiDomainCoordinator::apply_servo(double offset_ns, std::int64_t local_ts) {
-  const auto res = servo_.sample(static_cast<std::int64_t>(std::llround(offset_ns)), local_ts);
+  const auto res = servo_.sample(util::round_i64(offset_ns), local_ts);
   switch (res.state) {
     case gptp::PiServo::State::kUnlocked:
       break;
     case gptp::PiServo::State::kJump:
-      phc_.step(-static_cast<std::int64_t>(std::llround(offset_ns)));
+      phc_.step(-util::round_i64(offset_ns));
       phc_.adj_frequency(res.freq_ppb);
       c_clock_steps_->inc();
       break;
@@ -120,8 +127,7 @@ void MultiDomainCoordinator::apply_servo(double offset_ns, std::int64_t local_ts
   shmem_.store_servo_integral(servo_.integral_ppb());
 }
 
-void MultiDomainCoordinator::startup_step(std::size_t slot,
-                                          const gptp::MasterOffsetSample& sample) {
+void MultiDomainCoordinator::startup_step(const gptp::MasterOffsetSample& sample) {
   // During startup only the initial domain disciplines the clock.
   if (sample.domain != cfg_.initial_domain) return;
   apply_servo(sample.offset_ns, sample.local_rx_ts);
@@ -216,7 +222,7 @@ void MultiDomainCoordinator::fta_step(const gptp::MasterOffsetSample& sample) {
   apply_servo(*aggregated, sample.local_rx_ts);
   c_aggregations_->inc();
   trace(obs::TraceKind::kAggregate, static_cast<std::uint32_t>(n_usable), valid_mask,
-        static_cast<std::int64_t>(std::llround(*aggregated)), 0);
+        util::round_i64(*aggregated), 0);
   shmem_.count_aggregation();
   if (on_aggregate) on_aggregate(*aggregated, static_cast<int>(n_usable));
 }

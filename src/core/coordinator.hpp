@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -97,8 +96,12 @@ class MultiDomainCoordinator {
   std::function<void(std::size_t, bool)> on_validity_change;
 
  private:
+  /// Slot of `domain`, or cfg_.domains.size() when it is not aggregated.
+  /// A scan of at most kMaxDomains entries, run for every offset sample.
+  std::size_t find_slot(std::uint8_t domain) const;
+  /// find_slot() that throws std::out_of_range for a domain not aggregated.
   std::size_t slot_of(std::uint8_t domain) const;
-  void startup_step(std::size_t slot, const gptp::MasterOffsetSample& sample);
+  void startup_step(const gptp::MasterOffsetSample& sample);
   void fta_step(const gptp::MasterOffsetSample& sample);
   void apply_servo(double offset_ns, std::int64_t local_ts);
   void enter_fta_phase();
@@ -111,7 +114,6 @@ class MultiDomainCoordinator {
   FtShmem& shmem_;
   CoordinatorConfig cfg_;
   std::string name_;
-  std::map<std::uint8_t, std::size_t> slot_map_;
   gptp::PiServo servo_;
   int startup_ok_streak_ = 0;
   std::vector<bool> last_validity_;

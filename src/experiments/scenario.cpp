@@ -1,13 +1,13 @@
 #include "experiments/scenario.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 #include <stdexcept>
 
 #include "core/ft_shmem.hpp"
 #include "core/fta.hpp"
 #include "util/log.hpp"
+#include "util/round.hpp"
 #include "util/str.hpp"
 
 namespace tsn::experiments {
@@ -665,7 +665,7 @@ void Scenario::analytic_advance(std::int64_t from_ns, std::int64_t to_ns) {
     for (const FfPull& p : ff_pull_.pulls) {
       const double cur = static_cast<double>(p.phc->read() - t_k);
       const double tgt = *agg + p.residual_ns;
-      p.phc->step(static_cast<std::int64_t>(std::llround(tgt - cur)));
+      p.phc->step(util::round_i64(tgt - cur));
     }
   }
   // Flush every clock in the world through the window analytically:

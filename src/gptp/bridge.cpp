@@ -1,5 +1,7 @@
 #include "gptp/bridge.hpp"
 
+#include <algorithm>
+
 #include "util/log.hpp"
 #include "util/str.hpp"
 
@@ -28,6 +30,7 @@ TimeAwareBridge::TimeAwareBridge(sim::Simulation& sim, net::Switch& sw, const Br
       cfg_(cfg),
       name_(name),
       identity_(ClockIdentity::from_u64(util::fnv1a64("bridge/" + name))),
+      mac_(net::MacAddress::from_u64(identity_.to_u64() & 0xFFFFFFFFFFFF)),
       sync_tpl_(make_relay_sync_proto()),
       fup_tpl_(make_relay_fup_proto()) {
   for (std::size_t i = 0; i < sw_.port_count(); ++i) {
@@ -39,7 +42,16 @@ TimeAwareBridge::TimeAwareBridge(sim::Simulation& sim, net::Switch& sw, const Br
         cfg_.link_delay, util::format("%s/P%zu/pdelay", name.c_str(), i)));
   }
   for (const auto& dc : cfg_.domains) {
-    domains_[dc.domain] = DomainState{dc, std::nullopt};
+    DomainState ds{dc.domain, dc.slave_port, dc.dynamic,
+                   {dc.master_ports.begin(), dc.master_ports.end()}, std::nullopt};
+    auto it = std::lower_bound(
+        domains_.begin(), domains_.end(), dc.domain,
+        [](const DomainState& d, std::uint8_t domain) { return d.domain < domain; });
+    if (it != domains_.end() && it->domain == dc.domain) {
+      *it = std::move(ds); // a repeated domain's last entry wins
+    } else {
+      domains_.insert(it, std::move(ds));
+    }
   }
   sw_.set_ptp_sink([this](std::size_t idx, const net::EthernetFrame& frame,
                           const net::RxMeta& meta) { on_ptp(idx, frame, meta); });
@@ -51,7 +63,7 @@ PortIdentity TimeAwareBridge::port_identity(std::size_t port_idx) const {
 
 void TimeAwareBridge::send_on_port(std::size_t port_idx, net::FrameRef frame,
                                    LinkDelayService::TxTsFn on_tx) {
-  frame.writable().src = net::MacAddress::from_u64(identity_.to_u64() & 0xFFFFFFFFFFFF);
+  frame.writable().src = mac_;
   net::TxOptions opts;
   if (on_tx) {
     opts.on_complete = [on_tx = std::move(on_tx)](const net::TxReport& r) mutable {
@@ -69,6 +81,13 @@ void TimeAwareBridge::send_message_on_port(std::size_t port_idx, const Message& 
   eth.ethertype = net::kEtherTypePtp;
   serialize_into(msg, eth.payload);
   send_on_port(port_idx, std::move(frame), std::move(on_tx));
+}
+
+TimeAwareBridge::DomainState* TimeAwareBridge::find_domain(std::uint8_t domain) {
+  for (DomainState& ds : domains_) {
+    if (ds.domain == domain) return &ds;
+  }
+  return nullptr;
 }
 
 std::uint32_t TimeAwareBridge::alloc_relay_slot() {
@@ -138,7 +157,7 @@ void TimeAwareBridge::save_state(sim::StateWriter& w) {
   w.u64(counters_.malformed);
   w.u64(counters_.storm_syncs_sent);
   for (auto& ld : link_delay_) ld->save_state(w);
-  for (const auto& [domain, ds] : domains_) {
+  for (const DomainState& ds : domains_) {
     w.b(ds.pending.has_value());
     const PendingSync p = ds.pending.value_or(PendingSync{});
     w.u16(p.seq);
@@ -167,7 +186,7 @@ void TimeAwareBridge::load_state(sim::StateReader& r) {
   counters_.malformed = r.u64();
   counters_.storm_syncs_sent = r.u64();
   for (auto& ld : link_delay_) ld->load_state(r);
-  for (auto& [domain, ds] : domains_) {
+  for (DomainState& ds : domains_) {
     const bool has = r.b();
     PendingSync p;
     p.seq = r.u16();
@@ -212,7 +231,7 @@ void TimeAwareBridge::ff_advance(const sim::FfWindow& w) {
   for (auto& ld : link_delay_) ld->ff_advance(w);
   // A Sync whose FollowUp has not arrived by a multi-second quiescent
   // window is an abandoned relay; its seq is long gone after the jump.
-  for (auto& [domain, ds] : domains_) ds.pending.reset();
+  for (DomainState& ds : domains_) ds.pending.reset();
 }
 
 void TimeAwareBridge::ff_resume() {
@@ -240,12 +259,12 @@ void TimeAwareBridge::on_ptp(std::size_t port_idx, const net::EthernetFrame& fra
     return;
   }
 
-  auto it = domains_.find(header.domain);
-  if (it == domains_.end()) return; // domain not configured here
-  DomainState& ds = it->second;
+  DomainState* found = find_domain(header.domain);
+  if (found == nullptr) return; // domain not configured here
+  DomainState& ds = *found;
 
   if (const auto* sync = std::get_if<SyncMessage>(&*msg)) {
-    if (!ds.cfg.dynamic && port_idx != ds.cfg.slave_port) {
+    if (!ds.dynamic && port_idx != ds.slave_port) {
       ++counters_.syncs_on_non_slave_port; // passive port: ignore
       return;
     }
@@ -255,7 +274,7 @@ void TimeAwareBridge::on_ptp(std::size_t port_idx, const net::EthernetFrame& fra
   }
 
   if (const auto* fup = std::get_if<FollowUpMessage>(&*msg)) {
-    if (!ds.cfg.dynamic && port_idx != ds.cfg.slave_port) return;
+    if (!ds.dynamic && port_idx != ds.slave_port) return;
     if (!ds.pending || ds.pending->seq != fup->header.sequence_id ||
         ds.pending->source != fup->header.source_port ||
         ds.pending->ingress_port != port_idx) {
@@ -266,7 +285,7 @@ void TimeAwareBridge::on_ptp(std::size_t port_idx, const net::EthernetFrame& fra
   }
 
   if (const auto* ann = std::get_if<AnnounceMessage>(&*msg)) {
-    if (ds.cfg.dynamic) relay_announce(ds, port_idx, *ann);
+    if (ds.dynamic) relay_announce(ds, port_idx, *ann);
     return; // with external port configuration announces are not relayed
   }
 }
@@ -300,17 +319,16 @@ void TimeAwareBridge::relay_follow_up(DomainState& ds, const FollowUpMessage& fu
   const double rate_ratio = fup.rate_ratio() * ingress_ld.neighbor_rate_ratio();
   const double upstream_delay_ns = ingress_ld.mean_link_delay_ns();
 
-  // Egress in ascending port order, without copying the port set: this
-  // runs for every relayed FollowUp.
+  // Egress in ascending port order; this runs for every relayed FollowUp.
   const auto relay_on = [&](std::size_t out_port) {
-    sync_tpl_.set_domain(ds.cfg.domain);
+    sync_tpl_.set_domain(ds.domain);
     sync_tpl_.set_source_port(port_identity(out_port));
     sync_tpl_.set_sequence_id(pending.seq);
     sync_tpl_.set_log_message_interval(fup.header.log_message_interval);
 
     const std::uint32_t slot = alloc_relay_slot();
     RelayCtx& ctx = relay_ctx_[slot];
-    ctx.domain = ds.cfg.domain;
+    ctx.domain = ds.domain;
     ctx.log_interval = fup.header.log_message_interval;
     ctx.seq = pending.seq;
     ctx.out_port = out_port;
@@ -328,12 +346,12 @@ void TimeAwareBridge::relay_follow_up(DomainState& ds, const FollowUpMessage& fu
                    finish_relay(slot, tx_ts);
                  }));
   };
-  if (ds.cfg.dynamic) {
+  if (ds.dynamic) {
     for (std::size_t p = 0; p < sw_.port_count(); ++p) {
       if (p != pending.ingress_port && sw_.port(p).connected()) relay_on(p);
     }
   } else {
-    for (const std::size_t out_port : ds.cfg.master_ports) relay_on(out_port);
+    for (const std::size_t out_port : ds.master_ports) relay_on(out_port);
   }
 }
 

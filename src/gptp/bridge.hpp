@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -109,7 +108,10 @@ class TimeAwareBridge : public sim::Persistent {
     std::size_t ingress_port = 0;
   };
   struct DomainState {
-    BridgeDomainConfig cfg;
+    std::uint8_t domain = 0;
+    std::size_t slave_port = 0;
+    bool dynamic = false;
+    std::vector<std::size_t> master_ports; ///< ascending
     std::optional<PendingSync> pending;
   };
 
@@ -140,6 +142,8 @@ class TimeAwareBridge : public sim::Persistent {
   void send_message_on_port(std::size_t port_idx, const Message& msg,
                             LinkDelayService::TxTsFn on_tx);
   std::uint32_t alloc_relay_slot();
+  /// The configured domain's state, or null.
+  DomainState* find_domain(std::uint8_t domain);
   PortIdentity port_identity(std::size_t port_idx) const;
   /// (Re-)create the storm periodic from storm_domain_/storm_period_ns_.
   void arm_storm(std::int64_t first_ns);
@@ -149,8 +153,11 @@ class TimeAwareBridge : public sim::Persistent {
   BridgeConfig cfg_;
   std::string name_;
   ClockIdentity identity_;
+  net::MacAddress mac_; ///< source MAC of every frame the bridge sends
   std::vector<std::unique_ptr<LinkDelayService>> link_delay_; // one per port
-  std::map<std::uint8_t, DomainState> domains_;
+  /// Configured domains in ascending order (the snapshot order). Each
+  /// received Sync/FollowUp scans these few entries.
+  std::vector<DomainState> domains_;
   BridgeCounters counters_;
   bool started_ = false;
 

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "util/log.hpp"
+#include "util/round.hpp"
 
 namespace tsn::gptp {
 namespace {
@@ -142,7 +143,7 @@ void PtpInstance::schedule_at_phc(std::int64_t target_phc, std::function<void()>
     return;
   }
   const double rate = nic_.phc().effective_rate();
-  const auto dt = static_cast<std::int64_t>(std::llround(static_cast<double>(remaining) / rate));
+  const auto dt = util::round_i64(static_cast<double>(remaining) / rate);
   const std::uint64_t epoch = epoch_;
   const std::int64_t delay = std::max<std::int64_t>(dt, 1);
   hop_due_ns_ = sim_.now().ns() + delay;

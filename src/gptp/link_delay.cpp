@@ -1,8 +1,7 @@
 #include "gptp/link_delay.hpp"
 
-#include <cmath>
-
 #include "util/log.hpp"
+#include "util/round.hpp"
 
 namespace tsn::gptp {
 namespace {
@@ -184,7 +183,7 @@ std::int64_t LinkDelayService::tampered_t3(std::int64_t t3) {
   if (!atk_t3_epoch_ns_) atk_t3_epoch_ns_ = t3;
   const double skew =
       atk_t3_skew_ppm_ * 1e-6 * static_cast<double>(t3 - *atk_t3_epoch_ns_);
-  return t3 + static_cast<std::int64_t>(std::llround(atk_t3_bias_ns_ + skew));
+  return t3 + util::round_i64(atk_t3_bias_ns_ + skew);
 }
 
 void LinkDelayService::on_message(const Message& msg, std::int64_t rx_ts) {

@@ -40,12 +40,15 @@ void write_header(BasicByteWriter<Buf>& w, const MessageHeader& h) {
 }
 
 bool read_header(ByteReader& r, MessageHeader& h) {
+  const std::size_t size = r.remaining();
   const std::uint8_t type_byte = r.u8();
   if ((type_byte >> 4) != kTransportSpecific) return false;
   h.type = static_cast<MessageType>(type_byte & 0x0F);
   const std::uint8_t version = r.u8();
   if ((version & 0x0F) != kVersionPtp) return false;
-  r.u16(); // messageLength (validated against buffer size by the reader)
+  // A message longer than the buffer was truncated, even where every
+  // field read so far fits (an Announce cut before its path trace).
+  if (r.u16() > size) return false; // messageLength
   h.domain = r.u8();
   r.u8(); // minorSdoId
   const std::uint16_t flags = r.u16();
@@ -154,67 +157,65 @@ struct SerializerT {
   }
 };
 
-std::optional<Message> parse_body(ByteReader& r, const MessageHeader& h) {
+// Starts alternative M with header `h` inside `out`. parse runs on every
+// received frame, so each message is built in place, never moved.
+template <class M>
+M& begin_message(std::optional<Message>& out, const MessageHeader& h) {
+  M& m = std::get<M>(out.emplace(std::in_place_type<M>));
+  m.header = h;
+  return m;
+}
+
+// Fills `out` from the body after header `h`; leaves it empty on an
+// unknown type or a bad TLV. Truncation surfaces as !r.ok().
+void parse_body(ByteReader& r, const MessageHeader& h, std::optional<Message>& out) {
   switch (h.type) {
-    case MessageType::kSync: {
-      SyncMessage m{h};
+    case MessageType::kSync:
+      begin_message<SyncMessage>(out, h);
       r.skip(10);
-      if (!r.ok()) return std::nullopt;
-      return m;
-    }
+      return;
     case MessageType::kFollowUp: {
-      FollowUpMessage m;
-      m.header = h;
+      auto& m = begin_message<FollowUpMessage>(out, h);
       m.precise_origin = r.timestamp();
-      if (r.u16() != kTlvOrgExtension) return std::nullopt;
-      if (r.u16() != 28) return std::nullopt;
+      if (r.u16() != kTlvOrgExtension || r.u16() != 28) {
+        out.reset();
+        return;
+      }
       r.skip(6); // organizationId + subtype
       m.cumulative_scaled_rate_offset = r.i32();
       m.gm_time_base_indicator = r.u16();
       r.skip(12);
       m.scaled_last_gm_freq_change = r.i32();
-      if (!r.ok()) return std::nullopt;
-      return m;
+      return;
     }
-    case MessageType::kPdelayReq: {
-      PdelayReqMessage m{h};
+    case MessageType::kPdelayReq:
+      begin_message<PdelayReqMessage>(out, h);
       r.skip(20);
-      if (!r.ok()) return std::nullopt;
-      return m;
-    }
-    case MessageType::kDelayReq: {
-      DelayReqMessage m{h};
+      return;
+    case MessageType::kDelayReq:
+      begin_message<DelayReqMessage>(out, h);
       r.skip(10);
-      if (!r.ok()) return std::nullopt;
-      return m;
-    }
+      return;
     case MessageType::kDelayResp: {
-      DelayRespMessage m;
-      m.header = h;
+      auto& m = begin_message<DelayRespMessage>(out, h);
       m.receive_timestamp = r.timestamp();
       m.requesting_port = r.port_identity();
-      if (!r.ok()) return std::nullopt;
-      return m;
+      return;
     }
     case MessageType::kPdelayResp: {
-      PdelayRespMessage m;
-      m.header = h;
+      auto& m = begin_message<PdelayRespMessage>(out, h);
       m.request_receipt = r.timestamp();
       m.requesting_port = r.port_identity();
-      if (!r.ok()) return std::nullopt;
-      return m;
+      return;
     }
     case MessageType::kPdelayRespFollowUp: {
-      PdelayRespFollowUpMessage m;
-      m.header = h;
+      auto& m = begin_message<PdelayRespFollowUpMessage>(out, h);
       m.response_origin = r.timestamp();
       m.requesting_port = r.port_identity();
-      if (!r.ok()) return std::nullopt;
-      return m;
+      return;
     }
     case MessageType::kAnnounce: {
-      AnnounceMessage m;
-      m.header = h;
+      auto& m = begin_message<AnnounceMessage>(out, h);
       r.skip(10); // originTimestamp
       r.u16();    // currentUtcOffset
       r.u8();     // reserved
@@ -229,17 +230,18 @@ std::optional<Message> parse_body(ByteReader& r, const MessageHeader& h) {
       if (r.remaining() >= 4) {
         if (r.u16() == kTlvPathTrace) {
           const std::uint16_t len = r.u16();
-          if (len % 8 != 0 || len > r.remaining()) return std::nullopt;
+          if (len % 8 != 0 || len > r.remaining()) {
+            out.reset();
+            return;
+          }
           for (std::uint16_t i = 0; i < len / 8; ++i) {
             m.path_trace.push_back(r.clock_identity());
           }
         }
       }
-      if (!r.ok()) return std::nullopt;
-      return m;
+      return;
     }
   }
-  return std::nullopt;
 }
 
 } // namespace
@@ -267,10 +269,13 @@ void serialize_into(const Message& msg, net::Payload& out) {
 }
 
 std::optional<Message> parse(const std::uint8_t* data, std::size_t size) {
+  std::optional<Message> out;
   ByteReader r(data, size);
   MessageHeader h;
-  if (!read_header(r, h)) return std::nullopt;
-  return parse_body(r, h);
+  if (!read_header(r, h)) return out;
+  parse_body(r, h, out);
+  if (!r.ok()) out.reset();
+  return out;
 }
 
 } // namespace tsn::gptp

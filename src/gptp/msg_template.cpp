@@ -23,7 +23,7 @@ net::FrameRef make_ptp_frame(const MessageTemplate& tpl) {
   net::EthernetFrame& frame = ref.writable();
   frame.dst = net::MacAddress::gptp_multicast();
   frame.ethertype = net::kEtherTypePtp;
-  frame.payload.assign(tpl.data(), tpl.size());
+  frame.payload.assign_image(tpl.image(), tpl.size());
   return ref;
 }
 

@@ -4,9 +4,10 @@
 // handful of fields (sequenceId, timestamps, correction, requesting port).
 // Re-serializing the whole PDU per transmission costs a field-by-field
 // rebuild; instead each sender serializes a prototype once at setup and
-// per transmission patches the few bytes that change, then memcpys the
-// image into a pooled frame. Offsets follow IEEE 1588-2019 clause 13 and
-// are cross-checked against the generic serializer by the unit tests.
+// per transmission patches the few bytes that change, then copies the
+// whole fixed-size image into a pooled frame. Offsets follow IEEE
+// 1588-2019 clause 13 and are cross-checked against the generic
+// serializer by the unit tests.
 //
 // Only fixed-size messages are supported (<= 96 bytes, the frame pool's
 // inline payload). Announce with its variable path-trace TLV stays on the
@@ -42,6 +43,8 @@ class MessageTemplate {
 
   MessageType type() const { return type_; }
   const std::uint8_t* data() const { return bytes_.data(); }
+  /// The whole inline-size buffer; bytes past size() are zero.
+  const std::array<std::uint8_t, net::Payload::kInlineCapacity>& image() const { return bytes_; }
   std::size_t size() const { return size_; }
 
   void set_sequence_id(std::uint16_t v) { put_u16(kOffSequenceId, v); }

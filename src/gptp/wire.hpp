@@ -2,11 +2,13 @@
 //
 // The writer is generic over the output container (std::vector<uint8_t> or
 // net::Payload) so hot paths can serialize straight into a pooled frame's
-// inline payload without an intermediate heap vector.
+// inline payload without an intermediate heap vector. The reader is inline
+// too: every received gPTP frame is parsed through it.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <optional>
+#include <cstring>
 #include <type_traits>
 #include <vector>
 
@@ -67,6 +69,9 @@ class BasicByteWriter {
 
 using ByteWriter = BasicByteWriter<std::vector<std::uint8_t>>;
 
+/// Bounds-checked big-endian reader over wire bytes. Each field costs one
+/// bounds check. Reading past the end (or any read after a failed one)
+/// yields zeros and leaves ok() false; parsers check ok() once at the end.
 class ByteReader {
  public:
   ByteReader(const std::uint8_t* data, std::size_t size) : data_(data), size_(size) {}
@@ -78,20 +83,70 @@ class ByteReader {
   bool ok() const { return ok_; }
   std::size_t remaining() const { return size_ - pos_; }
 
-  std::uint8_t u8();
-  std::uint16_t u16();
-  std::uint32_t u32();
-  std::uint64_t u48();
-  std::uint64_t u64();
+  std::uint8_t u8() {
+    const std::uint8_t* p = take(1);
+    return p ? p[0] : 0;
+  }
+  std::uint16_t u16() {
+    const std::uint8_t* p = take(2);
+    return p ? load16(p) : 0;
+  }
+  std::uint32_t u32() {
+    const std::uint8_t* p = take(4);
+    return p ? load32(p) : 0;
+  }
+  std::uint64_t u48() {
+    const std::uint8_t* p = take(6);
+    return p ? load48(p) : 0;
+  }
+  std::uint64_t u64() {
+    const std::uint8_t* p = take(8);
+    return p ? (std::uint64_t{load32(p)} << 32) | load32(p + 4) : 0;
+  }
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  void skip(std::size_t n);
-  Timestamp timestamp();
-  ClockIdentity clock_identity();
-  PortIdentity port_identity();
+  void skip(std::size_t n) { take(n); }
+  Timestamp timestamp() { // 10 bytes: 48-bit s + 32-bit ns
+    Timestamp ts;
+    if (const std::uint8_t* p = take(10)) {
+      ts.seconds = load48(p);
+      ts.nanoseconds = load32(p + 6);
+    }
+    return ts;
+  }
+  ClockIdentity clock_identity() {
+    std::array<std::uint8_t, 8> b{};
+    if (const std::uint8_t* p = take(8)) std::memcpy(b.data(), p, b.size());
+    return ClockIdentity(b);
+  }
+  PortIdentity port_identity() {
+    PortIdentity id;
+    id.clock = clock_identity();
+    id.port = u16();
+    return id;
+  }
 
  private:
-  bool take(std::size_t n);
+  /// The next `n` bytes, or null (and ok() false) when fewer remain.
+  const std::uint8_t* take(std::size_t n) {
+    if (!ok_ || n > size_ - pos_) {
+      ok_ = false;
+      return nullptr;
+    }
+    const std::uint8_t* p = data_ + pos_;
+    pos_ += n;
+    return p;
+  }
+  static std::uint16_t load16(const std::uint8_t* p) {
+    return static_cast<std::uint16_t>((p[0] << 8) | p[1]);
+  }
+  static std::uint32_t load32(const std::uint8_t* p) {
+    return (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
+           (std::uint32_t{p[2]} << 8) | p[3];
+  }
+  static std::uint64_t load48(const std::uint8_t* p) {
+    return (std::uint64_t{load16(p)} << 32) | load32(p + 2);
+  }
 
   const std::uint8_t* data_;
   std::size_t size_;

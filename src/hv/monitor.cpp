@@ -5,6 +5,7 @@
 
 #include "sim/persist.hpp"
 #include "util/log.hpp"
+#include "util/round.hpp"
 
 namespace tsn::hv {
 
@@ -230,7 +231,7 @@ void HvMonitor::majority_vote(std::int64_t tsc_now) {
       TSN_LOG_INFO("hv-mon", "%s: VM %zu (%s) voted out (dev %.0f ns)", name_.c_str(), idx,
                    vms_[idx]->name().c_str(), dev);
       trace(obs::TraceKind::kVoteExclusion, static_cast<std::uint32_t>(idx),
-            static_cast<std::int64_t>(std::llround(dev)), 0);
+            util::round_i64(dev), 0);
       if (on_vote_exclusion) on_vote_exclusion(idx);
     } else if (voted_out_[idx] && dev <= cfg_.vote_threshold_ns / 2) {
       voted_out_[idx] = false; // rejoined the majority (hysteresis)

@@ -1,9 +1,9 @@
 #include "hv/st_shmem.hpp"
 
-#include <cmath>
 #include <optional>
 
 #include "sim/persist.hpp"
+#include "util/round.hpp"
 
 namespace tsn::hv {
 
@@ -49,7 +49,7 @@ std::optional<std::int64_t> read_synctime(const StShmem& shmem, std::int64_t tsc
   const SyncTimeParams p = shmem.read_params();
   if (!p.valid) return std::nullopt;
   const double elapsed = static_cast<double>(tsc_now - p.base_tsc);
-  return p.base_sync + static_cast<std::int64_t>(std::llround(elapsed * p.rate));
+  return p.base_sync + util::round_i64(elapsed * p.rate);
 }
 
 } // namespace tsn::hv

@@ -1,8 +1,7 @@
 #include "hv/synctime_updater.hpp"
 
-#include <cmath>
-
 #include "sim/persist.hpp"
+#include "util/round.hpp"
 
 namespace tsn::hv {
 
@@ -44,7 +43,7 @@ void SyncTimeUpdater::set_publishing(bool on) {
     // Take over immediately: publish the current state of our clock.
     const std::int64_t tsc = tsc_.read();
     if (virt_initialized_) {
-      publish(last_tsc_, static_cast<std::int64_t>(std::llroundl(virt_value_)), rate_);
+      publish(last_tsc_, util::round_i64(virt_value_), rate_);
     } else {
       publish(tsc, phc_.read(), 1.0);
     }
@@ -77,7 +76,7 @@ void SyncTimeUpdater::tick_feedback(std::int64_t tsc, std::int64_t phc) {
   last_tsc_ = tsc;
   const double err = static_cast<double>(virt_value_ - static_cast<long double>(phc));
   last_error_ns_ = err;
-  const auto res = servo_.sample(static_cast<std::int64_t>(std::llround(err)), tsc);
+  const auto res = servo_.sample(util::round_i64(err), tsc);
   switch (res.state) {
     case gptp::PiServo::State::kUnlocked:
       break;
@@ -89,7 +88,7 @@ void SyncTimeUpdater::tick_feedback(std::int64_t tsc, std::int64_t phc) {
       rate_ = 1.0 + res.freq_ppb * 1e-9;
       break;
   }
-  publish(tsc, static_cast<std::int64_t>(std::llroundl(virt_value_)), rate_);
+  publish(tsc, util::round_i64(virt_value_), rate_);
 }
 
 void SyncTimeUpdater::tick_feed_forward(std::int64_t tsc, std::int64_t phc) {
@@ -199,7 +198,7 @@ void SyncTimeUpdater::ff_advance(const sim::FfWindow&) {
   }
   shmem_.heartbeat(vm_index_, tsc);
   if (virt_initialized_) {
-    publish(last_tsc_, static_cast<std::int64_t>(std::llroundl(virt_value_)), rate_);
+    publish(last_tsc_, util::round_i64(virt_value_), rate_);
   }
 }
 

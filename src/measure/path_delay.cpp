@@ -1,5 +1,6 @@
 #include "measure/path_delay.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <limits>
 
@@ -24,7 +25,15 @@ void PathDelayMeter::add_node(const std::string& node_name, net::Nic* nic,
     rt_->control_channel(home_region_, region); // send commands out
     rt_->control_channel(region, home_region_); // samples back home
   }
+  assert(index_of(node_name) == nodes_.size());
   const std::uint32_t dst_idx = static_cast<std::uint32_t>(nodes_.size());
+  // Re-lay the pair table out for one more node (set-up only).
+  const std::size_t n = nodes_.size() + 1;
+  std::vector<PairStats> grown(n * n);
+  for (std::size_t src = 0; src + 1 < n; ++src) {
+    for (std::size_t dst = 0; dst + 1 < n; ++dst) grown[src * n + dst] = stats(src, dst);
+  }
+  stats_ = std::move(grown);
   nodes_.push_back({node_name, nic, node_sim, region});
   nic->set_rx_handler(kEtherTypePathProbe,
                       [this, dst_idx](const net::EthernetFrame& frame, const net::RxMeta& meta) {
@@ -52,7 +61,7 @@ void PathDelayMeter::on_probe(std::uint32_t dst_idx, const net::EthernetFrame& f
 }
 
 void PathDelayMeter::record(std::uint32_t src_idx, std::uint32_t dst_idx, double delay_ns) {
-  pairs_[{nodes_[src_idx].name, nodes_[dst_idx].name}].delay_ns.add(delay_ns);
+  stats_[src_idx * nodes_.size() + dst_idx].delay_ns.add(delay_ns);
   ++probes_received_;
 }
 
@@ -101,15 +110,37 @@ void PathDelayMeter::run(int rounds, std::int64_t spacing_ns, std::function<void
   sim_.after(0, [this] { sweep(); });
 }
 
+std::size_t PathDelayMeter::index_of(const std::string& node_name) const {
+  std::size_t i = 0;
+  while (i < nodes_.size() && nodes_[i].name != node_name) ++i;
+  return i;
+}
+
+std::map<std::pair<std::string, std::string>, PathDelayMeter::PairStats> PathDelayMeter::pairs()
+    const {
+  std::map<std::pair<std::string, std::string>, PairStats> out;
+  for (std::size_t src = 0; src < nodes_.size(); ++src) {
+    for (std::size_t dst = 0; dst < nodes_.size(); ++dst) {
+      const PairStats& st = stats(src, dst);
+      if (st.delay_ns.count() > 0) out.emplace(std::pair{nodes_[src].name, nodes_[dst].name}, st);
+    }
+  }
+  return out;
+}
+
 double PathDelayMeter::dmin_ns() const {
   double lo = std::numeric_limits<double>::infinity();
-  for (const auto& [key, st] : pairs_) lo = std::min(lo, st.delay_ns.min());
+  for (const PairStats& st : stats_) {
+    if (st.delay_ns.count() > 0) lo = std::min(lo, st.delay_ns.min());
+  }
   return lo;
 }
 
 double PathDelayMeter::dmax_ns() const {
   double hi = -std::numeric_limits<double>::infinity();
-  for (const auto& [key, st] : pairs_) hi = std::max(hi, st.delay_ns.max());
+  for (const PairStats& st : stats_) {
+    if (st.delay_ns.count() > 0) hi = std::max(hi, st.delay_ns.max());
+  }
   return hi;
 }
 
@@ -117,11 +148,14 @@ double PathDelayMeter::gamma_ns(const std::string& measurement_node,
                                 const std::vector<std::string>& destinations) const {
   double path_max = -std::numeric_limits<double>::infinity();
   double path_min = std::numeric_limits<double>::infinity();
-  for (const auto& dst : destinations) {
-    auto it = pairs_.find({measurement_node, dst});
-    if (it == pairs_.end()) continue;
-    path_max = std::max(path_max, it->second.delay_ns.max());
-    path_min = std::min(path_min, it->second.delay_ns.min());
+  const std::size_t src = index_of(measurement_node);
+  for (const auto& dst_name : destinations) {
+    const std::size_t dst = index_of(dst_name);
+    if (src == nodes_.size() || dst == nodes_.size()) continue;
+    const PairStats& st = stats(src, dst);
+    if (st.delay_ns.count() == 0) continue;
+    path_max = std::max(path_max, st.delay_ns.max());
+    path_min = std::min(path_min, st.delay_ns.min());
   }
   if (path_min > path_max) return 0.0;
   return path_max - path_min;

@@ -35,9 +35,10 @@ class PathDelayMeter {
   /// samples back home (+1 ms). Call before any add_node().
   void set_partitioned(sim::PartitionRuntime* rt, std::size_t home_region);
 
-  /// Register a node endpoint. All pairwise one-way delays between
-  /// registered nodes are measured. `node_sim`/`region` locate the node in
-  /// a partitioned world (serial callers leave the defaults).
+  /// Register a node endpoint under a unique name. All pairwise one-way
+  /// delays between registered nodes are measured. `node_sim`/`region`
+  /// locate the node in a partitioned world (serial callers leave the
+  /// defaults).
   void add_node(const std::string& name, net::Nic* nic,
                 sim::Simulation* node_sim = nullptr, std::size_t region = 0);
 
@@ -49,10 +50,9 @@ class PathDelayMeter {
     util::RunningStats delay_ns;
   };
 
-  /// Per ordered pair (src, dst) one-way delay statistics.
-  const std::map<std::pair<std::string, std::string>, PairStats>& pairs() const {
-    return pairs_;
-  }
+  /// Per ordered pair (src, dst) one-way delay statistics, for every pair
+  /// with at least one sample. Built on each call from the dense table.
+  std::map<std::pair<std::string, std::string>, PairStats> pairs() const;
 
   /// Minimum / maximum observed latency over all node pairs -> E.
   double dmin_ns() const;
@@ -73,6 +73,11 @@ class PathDelayMeter {
   void on_probe(std::uint32_t dst_idx, const net::EthernetFrame& frame,
                 const net::RxMeta& meta);
   void record(std::uint32_t src_idx, std::uint32_t dst_idx, double delay_ns);
+  /// Index of the node named `name`, or nodes_.size() when there is none.
+  std::size_t index_of(const std::string& name) const;
+  const PairStats& stats(std::size_t src_idx, std::size_t dst_idx) const {
+    return stats_[src_idx * nodes_.size() + dst_idx];
+  }
 
   sim::Simulation& sim_;
   std::uint16_t vlan_id_;
@@ -86,7 +91,9 @@ class PathDelayMeter {
   std::vector<Node> nodes_;
   sim::PartitionRuntime* rt_ = nullptr;
   std::size_t home_region_ = 0;
-  std::map<std::pair<std::string, std::string>, PairStats> pairs_;
+  /// Delay statistics of every ordered pair, [src * nodes_.size() + dst];
+  /// a pair never sampled has count() == 0.
+  std::vector<PairStats> stats_;
   std::uint64_t probes_received_ = 0;
   int rounds_left_ = 0;
   std::int64_t spacing_ns_ = 0;

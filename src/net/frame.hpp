@@ -1,6 +1,8 @@
 // Ethernet frames with optional 802.1Q VLAN tag.
 #pragma once
 
+#include <array>
+#include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <initializer_list>
@@ -117,6 +119,16 @@ class Payload {
   void assign(const std::uint8_t* src, std::size_t n) {
     clear();
     append(src, n);
+  }
+
+  /// The first `n` bytes of a full inline-size image (n <= kInlineCapacity).
+  /// Copies the whole image: a constant-size copy, for template-built
+  /// frames that every hop sends.
+  void assign_image(const std::array<std::uint8_t, kInlineCapacity>& image, std::size_t n) {
+    assert(n <= kInlineCapacity);
+    reset();
+    std::memcpy(inline_, image.data(), kInlineCapacity);
+    size_ = static_cast<std::uint32_t>(n);
   }
 
   /// Append-only insert (vector-compatible shim for the wire writers,

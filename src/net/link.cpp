@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <stdexcept>
 
 #include "net/port.hpp"
 #include "sim/partition.hpp"
 #include "sim/persist.hpp"
+#include "util/round.hpp"
 
 namespace tsn::net {
 
@@ -59,7 +59,7 @@ Port& Link::peer_of(Port& end) const {
 std::int64_t Link::serialization_ns(const EthernetFrame& frame) const {
   // +20 bytes preamble/SFD/IFG overhead on the wire.
   const double bits = static_cast<double>(frame.wire_size() + 20) * 8.0;
-  return static_cast<std::int64_t>(std::llround(bits / cfg_.rate_bps * 1e9));
+  return util::round_i64(bits / cfg_.rate_bps * 1e9);
 }
 
 sim::Simulation& Link::sender_sim(bool from_a) {
@@ -70,13 +70,13 @@ std::int64_t Link::draw_delay(bool from_a) {
   const DelayModel& m = from_a ? cfg_.a_to_b : cfg_.b_to_a;
   util::RngStream& rng = (!from_a && rng_ba_) ? *rng_ba_ : rng_;
   const double jitter = rng.normal(0.0, m.jitter_sigma_ns);
-  std::int64_t d = m.base_ns + static_cast<std::int64_t>(std::llround(jitter));
+  std::int64_t d = m.base_ns + util::round_i64(jitter);
   const DelayAttack& atk = from_a ? atk_ab_ : atk_ba_;
   if (atk.active) {
     const double elapsed_s =
         static_cast<double>(sender_sim(from_a).now().ns() - atk.start_ns) * 1e-9;
     d += atk.bias_ns +
-         static_cast<std::int64_t>(std::llround(atk.ramp_ns_per_s * std::max(0.0, elapsed_s)));
+         util::round_i64(atk.ramp_ns_per_s * std::max(0.0, elapsed_s));
   }
   // The floor holds under attack too: min_delay_ns() stays a valid
   // lookahead for boundary channels whatever the adversary injects.

@@ -4,9 +4,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "net/frame.hpp"
 #include "net/frame_pool.hpp"
@@ -48,7 +49,7 @@ class Nic : public FrameSink {
   bool is_up() const { return up_; }
 
   /// Subscribe to an additional multicast group address.
-  void join_multicast(MacAddress group) { multicast_groups_[group.to_u64()] = true; }
+  void join_multicast(MacAddress group);
 
   void handle_frame(Port& ingress, const FrameRef& frame, const RxMeta& meta) override;
 
@@ -61,8 +62,10 @@ class Nic : public FrameSink {
   time::PhcClock phc_;
   Port port_;
   bool up_ = true;
-  std::map<std::uint16_t, RxHandler> rx_handlers_;
-  std::map<std::uint64_t, bool> multicast_groups_;
+  // A NIC serves two or three EtherTypes and groups; every received frame
+  // scans these instead of walking a tree.
+  std::vector<std::pair<std::uint16_t, RxHandler>> rx_handlers_;
+  std::vector<std::uint64_t> multicast_groups_;
 };
 
 } // namespace tsn::net

@@ -1,10 +1,10 @@
 #include "net/port.hpp"
 
-#include <cmath>
 #include <utility>
 
 #include "net/link.hpp"
 #include "util/log.hpp"
+#include "util/round.hpp"
 
 namespace tsn::net {
 
@@ -45,8 +45,7 @@ void Port::arm_launch(std::uint32_t slot, std::int64_t remaining_phc) {
   // convert the remaining PHC nanoseconds to true time with the counter's
   // current rate and re-check on wake (the rate may wander in between).
   const double rate = phc_->effective_rate();
-  const auto remaining_true = static_cast<std::int64_t>(
-      std::llround(static_cast<double>(remaining_phc) / rate));
+  const auto remaining_true = util::round_i64(static_cast<double>(remaining_phc) / rate);
   etf_pending_[slot].wake =
       sim_.after(std::max<std::int64_t>(remaining_true, 1), [this, slot] { fire_launch(slot); });
 }

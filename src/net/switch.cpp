@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 #include "sim/persist.hpp"
 #include "util/log.hpp"
+#include "util/round.hpp"
 #include "util/str.hpp"
 
 namespace tsn::net {
@@ -26,12 +26,23 @@ Switch::Switch(sim::Simulation& sim, const SwitchConfig& cfg, const std::string&
 
 void Switch::add_vlan_member(std::uint16_t vid, std::size_t port_idx) {
   assert(port_idx < ports_.size());
-  vlan_members_[vid].insert(port_idx);
+  auto it = std::lower_bound(vlans_.begin(), vlans_.end(), vid,
+                             [](const Vlan& e, std::uint16_t k) { return e.vid < k; });
+  if (it == vlans_.end() || it->vid != vid) {
+    it = vlans_.insert(it, Vlan{vid, std::vector<bool>(ports_.size(), false)});
+  }
+  it->member[port_idx] = true;
 }
 
 void Switch::add_fdb_entry(std::uint16_t vid, MacAddress mac, std::size_t port_idx) {
   assert(port_idx < ports_.size());
-  fdb_[{vid, mac.to_u64()}].insert(port_idx);
+  const std::uint64_t key = fdb_key(vid, mac.to_u64());
+  auto it = std::lower_bound(fdb_.begin(), fdb_.end(), key,
+                             [](const FdbEntry& e, std::uint64_t k) { return e.key < k; });
+  if (it == fdb_.end() || it->key != key) it = fdb_.insert(it, FdbEntry{key, {}});
+  auto& ports = it->ports;
+  const auto pos = std::lower_bound(ports.begin(), ports.end(), port_idx);
+  if (pos == ports.end() || *pos != port_idx) ports.insert(pos, port_idx);
 }
 
 std::size_t Switch::index_of(const Port& p) const {
@@ -40,12 +51,6 @@ std::size_t Switch::index_of(const Port& p) const {
   }
   assert(false && "port does not belong to this switch");
   return 0;
-}
-
-bool Switch::is_member(std::uint16_t vid, std::size_t port_idx) const {
-  if (vid == 0) return true; // default VLAN spans all ports
-  auto it = vlan_members_.find(vid);
-  return it != vlan_members_.end() && it->second.count(port_idx) > 0;
 }
 
 void Switch::save_state(sim::StateWriter& w) {
@@ -60,7 +65,7 @@ void Switch::load_state(sim::StateReader& r) {
 
 std::int64_t Switch::draw_residence_ns() {
   const double jitter = residence_rng_.normal(0.0, cfg_.residence_jitter_ns);
-  const std::int64_t d = cfg_.residence_base_ns + static_cast<std::int64_t>(std::llround(jitter));
+  const std::int64_t d = cfg_.residence_base_ns + util::round_i64(jitter);
   return std::max<std::int64_t>(d, cfg_.residence_base_ns / 2);
 }
 
@@ -75,21 +80,29 @@ void Switch::forward_to(std::size_t out_idx, const FrameRef& frame) {
 
 void Switch::forward(std::size_t ingress_idx, const FrameRef& frame) {
   const std::uint16_t vid = frame->vlan ? frame->vlan->vid : 0;
-  const std::uint64_t dst = frame->dst.to_u64();
-  auto it = fdb_.find({vid, dst});
-  if (it != fdb_.end()) {
-    for (std::size_t out_idx : it->second) {
-      if (out_idx == ingress_idx || !is_member(vid, out_idx)) continue;
-      forward_to(out_idx, frame);
-    }
+  // The default VLAN (vid 0) spans all ports; any other vid reaches only
+  // its member ports, and none when it was never configured.
+  const std::vector<bool>* member = nullptr;
+  if (vid != 0) {
+    const auto v = std::lower_bound(vlans_.begin(), vlans_.end(), vid,
+                                    [](const Vlan& e, std::uint16_t k) { return e.vid < k; });
+    if (v == vlans_.end() || v->vid != vid) return;
+    member = &v->member;
+  }
+  const auto egress = [&](std::size_t out_idx) {
+    if (out_idx == ingress_idx || (member != nullptr && !(*member)[out_idx])) return;
+    forward_to(out_idx, frame);
+  };
+  const std::uint64_t key = fdb_key(vid, frame->dst.to_u64());
+  const auto it = std::lower_bound(fdb_.begin(), fdb_.end(), key,
+                                   [](const FdbEntry& e, std::uint64_t k) { return e.key < k; });
+  if (it != fdb_.end() && it->key == key) {
+    for (const std::size_t out_idx : it->ports) egress(out_idx);
     return;
   }
   if (cfg_.drop_unknown_unicast) return; // strict static forwarding
   // Unknown destination: flood within the VLAN.
-  for (std::size_t out_idx = 0; out_idx < ports_.size(); ++out_idx) {
-    if (out_idx == ingress_idx || !is_member(vid, out_idx)) continue;
-    forward_to(out_idx, frame);
-  }
+  for (std::size_t out_idx = 0; out_idx < ports_.size(); ++out_idx) egress(out_idx);
 }
 
 void Switch::send_from_port(std::size_t port_idx, FrameRef frame, TxOptions opts) {

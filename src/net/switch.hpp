@@ -10,9 +10,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -83,7 +81,6 @@ class Switch : public FrameSink, public sim::Persistent {
 
  private:
   std::size_t index_of(const Port& p) const;
-  bool is_member(std::uint16_t vid, std::size_t port_idx) const;
   void forward(std::size_t ingress_idx, const FrameRef& frame);
   void forward_to(std::size_t out_idx, const FrameRef& frame);
 
@@ -92,8 +89,21 @@ class Switch : public FrameSink, public sim::Persistent {
   std::string name_;
   time::PhcClock phc_;
   std::vector<std::unique_ptr<Port>> ports_;
-  std::map<std::uint16_t, std::set<std::size_t>> vlan_members_;
-  std::map<std::pair<std::uint16_t, std::uint64_t>, std::set<std::size_t>> fdb_;
+  // Static forwarding state in flat tables sorted by key: each forwarded
+  // frame does one binary search per table, then reads by port index.
+  struct Vlan {
+    std::uint16_t vid = 0;
+    std::vector<bool> member; ///< indexed by port
+  };
+  struct FdbEntry {
+    std::uint64_t key = 0; ///< fdb_key(vid, mac): orders by (vid, mac)
+    std::vector<std::size_t> ports; ///< ascending, so egress order is too
+  };
+  static std::uint64_t fdb_key(std::uint16_t vid, std::uint64_t mac48) {
+    return (std::uint64_t{vid} << 48) | mac48;
+  }
+  std::vector<Vlan> vlans_;   ///< sorted by vid
+  std::vector<FdbEntry> fdb_; ///< sorted by key
   PtpSink ptp_sink_;
   util::RngStream residence_rng_;
 };

@@ -1,9 +1,9 @@
 #include "tsn_time/phc_clock.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "sim/persist.hpp"
+#include "util/round.hpp"
 
 namespace tsn::time {
 
@@ -28,12 +28,12 @@ void PhcClock::catch_up_coarse() {
 
 std::int64_t PhcClock::read() {
   advance_to_now();
-  return static_cast<std::int64_t>(std::llroundl(value_ns_));
+  return util::round_i64(value_ns_);
 }
 
 std::int64_t PhcClock::hw_timestamp() {
   const double jitter = ts_rng_.normal(0.0, model_.timestamp_jitter_ns);
-  return read() + static_cast<std::int64_t>(std::llround(jitter));
+  return read() + util::round_i64(jitter);
 }
 
 void PhcClock::adj_frequency(double ppb) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "gptp/messages.hpp"
 #include "gptp/wire.hpp"
 
@@ -16,6 +18,66 @@ MessageHeader sample_header(MessageType type) {
   h.sequence_id = 0xBEEF;
   h.log_message_interval = -3;
   return h;
+}
+
+/// One instance of each of the eight message types, every field drawn
+/// uniformly over its wire range.
+std::vector<Message> random_messages(std::mt19937_64& rng) {
+  const auto bits = [&](int n) { return rng() & ((std::uint64_t{1} << n) - 1); };
+  const auto header = [&](MessageType type) {
+    MessageHeader h;
+    h.type = type;
+    h.domain = static_cast<std::uint8_t>(bits(8));
+    h.two_step = bits(1) != 0;
+    h.correction_scaled = static_cast<std::int64_t>(rng());
+    h.source_port = {ClockIdentity::from_u64(rng()), static_cast<std::uint16_t>(bits(16))};
+    h.sequence_id = static_cast<std::uint16_t>(bits(16));
+    h.log_message_interval = static_cast<std::int8_t>(bits(8));
+    return h;
+  };
+  const auto timestamp = [&] { return Timestamp{bits(48), static_cast<std::uint32_t>(bits(32))}; };
+  const auto port = [&] {
+    return PortIdentity{ClockIdentity::from_u64(rng()), static_cast<std::uint16_t>(bits(16))};
+  };
+
+  FollowUpMessage fup;
+  fup.header = header(MessageType::kFollowUp);
+  fup.precise_origin = timestamp();
+  fup.cumulative_scaled_rate_offset = static_cast<std::int32_t>(bits(32));
+  fup.gm_time_base_indicator = static_cast<std::uint16_t>(bits(16));
+  fup.scaled_last_gm_freq_change = static_cast<std::int32_t>(bits(32));
+  DelayRespMessage dresp;
+  dresp.header = header(MessageType::kDelayResp);
+  dresp.receive_timestamp = timestamp();
+  dresp.requesting_port = port();
+  PdelayRespMessage presp;
+  presp.header = header(MessageType::kPdelayResp);
+  presp.request_receipt = timestamp();
+  presp.requesting_port = port();
+  PdelayRespFollowUpMessage pfup;
+  pfup.header = header(MessageType::kPdelayRespFollowUp);
+  pfup.response_origin = timestamp();
+  pfup.requesting_port = port();
+  AnnounceMessage ann;
+  ann.header = header(MessageType::kAnnounce);
+  ann.grandmaster_priority1 = static_cast<std::uint8_t>(bits(8));
+  ann.grandmaster_quality = {static_cast<std::uint8_t>(bits(8)), static_cast<std::uint8_t>(bits(8)),
+                             static_cast<std::uint16_t>(bits(16))};
+  ann.grandmaster_priority2 = static_cast<std::uint8_t>(bits(8));
+  ann.grandmaster_identity = ClockIdentity::from_u64(rng());
+  ann.steps_removed = static_cast<std::uint16_t>(bits(16));
+  ann.time_source = static_cast<std::uint8_t>(bits(8));
+  for (std::uint64_t i = 0, n = 1 + bits(2); i < n; ++i) {
+    ann.path_trace.push_back(ClockIdentity::from_u64(rng()));
+  }
+  return {SyncMessage{header(MessageType::kSync)},
+          fup,
+          PdelayReqMessage{header(MessageType::kPdelayReq)},
+          presp,
+          pfup,
+          ann,
+          DelayReqMessage{header(MessageType::kDelayReq)},
+          dresp};
 }
 
 TEST(WireTest, U16U32U48U64RoundTrip) {
@@ -201,6 +263,34 @@ TEST(MessagesTest, TruncatedInputRejected) {
   auto bytes = serialize(Message{m});
   bytes.resize(bytes.size() - 5);
   EXPECT_FALSE(parse(bytes).has_value());
+}
+
+TEST(MessagesTest, RandomFieldsRoundTripForEveryType) {
+  // Re-serializing the parse reproduces the wire image only if every
+  // field came back.
+  std::mt19937_64 rng(16);
+  for (int i = 0; i < 500; ++i) {
+    const std::vector<Message> msgs = random_messages(rng);
+    ASSERT_EQ(msgs.size(), std::variant_size_v<Message>);
+    for (const Message& m : msgs) {
+      const auto bytes = serialize(m);
+      const auto parsed = parse(bytes);
+      ASSERT_TRUE(parsed.has_value()) << "alternative " << m.index();
+      EXPECT_EQ(parsed->index(), m.index());
+      EXPECT_EQ(serialize(*parsed), bytes) << "alternative " << m.index();
+    }
+  }
+}
+
+TEST(MessagesTest, EveryStrictPrefixRejected) {
+  std::mt19937_64 rng(17);
+  for (const Message& m : random_messages(rng)) {
+    const auto bytes = serialize(m);
+    for (std::size_t n = 0; n < bytes.size(); ++n) {
+      EXPECT_FALSE(parse(bytes.data(), n).has_value())
+          << "alternative " << m.index() << ", " << n << " of " << bytes.size() << " bytes";
+    }
+  }
 }
 
 TEST(MessagesTest, EmptyAndGarbageRejected) {

@@ -1,9 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "gptp/wire.hpp"
 #include "measure/bound.hpp"
 #include "measure/path_delay.hpp"
 #include "net/link.hpp"
 #include "net/nic.hpp"
+#include "net/switch.hpp"
 #include "sim/simulation.hpp"
 
 namespace tsn::measure {
@@ -72,8 +81,9 @@ TEST(PathDelayMeterTest, MeasuresAsymmetricPairDelays) {
   EXPECT_EQ(meter.probes_received(), 10u);
   // Probe frames: 46B payload -> 64B minimum frame + 20B overhead = 672 ns
   // serialization (true transit includes it), plus propagation.
-  const auto& ab = meter.pairs().at({"a", "b"});
-  const auto& ba = meter.pairs().at({"b", "a"});
+  const auto pairs = meter.pairs();
+  const auto& ab = pairs.at({"a", "b"});
+  const auto& ba = pairs.at({"b", "a"});
   EXPECT_NEAR(ab.delay_ns.mean(), 1000.0 + 672.0, 2.0);
   EXPECT_NEAR(ba.delay_ns.mean(), 3000.0 + 672.0, 2.0);
   EXPECT_NEAR(meter.reading_error_ns(), 2000.0, 4.0);
@@ -111,6 +121,76 @@ TEST(PathDelayMeterTest, DeadDestinationYieldsNoSamples) {
   meter.run(3, 10_ms);
   sim.run_until(SimTime(1_s));
   EXPECT_EQ(meter.pairs().count({"a", "b"}), 0u);
+}
+
+TEST(PathDelayMeterTest, SixNodeStatisticsMatchTheRawSamples) {
+  // Six NICs on one switch with jittered links and residence. Each NIC
+  // port's tap decodes the probes it receives, so the test keeps its own
+  // copy of every sample the meter records.
+  Simulation sim{21};
+  net::SwitchConfig scfg;
+  scfg.port_count = 6;
+  scfg.phc = quiet();
+  net::Switch sw(sim, scfg, "sw");
+  std::vector<std::unique_ptr<net::Nic>> nics;
+  std::vector<std::unique_ptr<net::Link>> links;
+  std::map<std::pair<std::string, std::string>, std::vector<double>> raw;
+  PathDelayMeter meter(sim, 0, "meter");
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < 6; ++i) names.push_back("n" + std::to_string(i));
+  for (std::size_t i = 0; i < 6; ++i) {
+    nics.push_back(std::make_unique<net::Nic>(sim, quiet(), net::MacAddress::from_u64(0x20 + i),
+                                              names[i]));
+    net::LinkConfig lc;
+    lc.a_to_b = {static_cast<std::int64_t>(500 + 100 * i), 30.0};
+    lc.b_to_a = {static_cast<std::int64_t>(700 + 50 * i), 30.0};
+    links.push_back(std::make_unique<net::Link>(sim, nics[i]->port(), sw.port(i), lc, names[i]));
+    meter.add_node(names[i], nics[i].get());
+    net::Nic* nic = nics[i].get();
+    nic->port().set_tap([&, nic, i](const net::EthernetFrame& f, bool is_tx) {
+      if (is_tx || f.ethertype != kEtherTypePathProbe || f.dst != nic->mac()) return;
+      gptp::ByteReader r(f.payload);
+      const std::uint32_t src = r.u32();
+      const std::int64_t tx_ns = r.i64();
+      ASSERT_TRUE(r.ok());
+      raw[{names[src], names[i]}].push_back(static_cast<double>(sim.now().ns() - tx_ns));
+    });
+  }
+  meter.run(4, 10_ms);
+  sim.run_until(SimTime(1_s));
+  ASSERT_EQ(raw.size(), 30u); // every ordered pair of distinct nodes
+
+  const auto pairs = meter.pairs();
+  ASSERT_EQ(pairs.size(), raw.size());
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -lo;
+  for (const auto& [key, samples] : raw) {
+    util::RunningStats expect;
+    for (const double d : samples) expect.add(d);
+    const util::RunningStats& got = pairs.at(key).delay_ns;
+    EXPECT_EQ(got.count(), expect.count());
+    EXPECT_EQ(got.min(), expect.min());
+    EXPECT_EQ(got.max(), expect.max());
+    EXPECT_EQ(got.mean(), expect.mean());
+    lo = std::min(lo, expect.min());
+    hi = std::max(hi, expect.max());
+  }
+  EXPECT_EQ(meter.dmin_ns(), lo);
+  EXPECT_EQ(meter.dmax_ns(), hi);
+  EXPECT_LT(lo, hi);
+
+  const std::vector<std::string> dests{"n1", "n3", "n5"};
+  double path_lo = std::numeric_limits<double>::infinity();
+  double path_hi = -path_lo;
+  for (const auto& d : dests) {
+    const auto& samples = raw.at({"n0", d});
+    path_lo = std::min(path_lo, *std::min_element(samples.begin(), samples.end()));
+    path_hi = std::max(path_hi, *std::max_element(samples.begin(), samples.end()));
+  }
+  EXPECT_EQ(meter.gamma_ns("n0", dests), path_hi - path_lo);
+  // Unknown names contribute nothing; an unknown source has no paths.
+  EXPECT_EQ(meter.gamma_ns("n0", {"n1", "zzz", "n3", "n5"}), path_hi - path_lo);
+  EXPECT_EQ(meter.gamma_ns("zzz", dests), 0.0);
 }
 
 } // namespace

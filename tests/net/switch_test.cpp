@@ -190,5 +190,55 @@ TEST(SwitchTest, ResidenceJitterVaries) {
   EXPECT_GT(hi - lo, 100);
 }
 
+/// `n` NICs, NIC i on switch port i, each switch port recording the order
+/// in which it puts frames on the wire.
+struct Fan {
+  Simulation sim{11};
+  Switch sw;
+  std::vector<std::unique_ptr<Nic>> nics;
+  std::vector<std::unique_ptr<Link>> links;
+  std::vector<std::size_t> egress_order;
+
+  explicit Fan(std::size_t n) : sw(sim, quiet_switch(n), "sw") {
+    for (std::size_t i = 0; i < n; ++i) {
+      nics.push_back(std::make_unique<Nic>(sim, quiet_phc(), MacAddress::from_u64(0x10 + i),
+                                           "n" + std::to_string(i)));
+      links.push_back(std::make_unique<Link>(sim, nics.back()->port(), sw.port(i), quiet_link(),
+                                             "l" + std::to_string(i)));
+      sw.port(i).set_tap([this, i](const EthernetFrame&, bool is_tx) {
+        if (is_tx) egress_order.push_back(i);
+      });
+    }
+  }
+};
+
+TEST(SwitchTest, MultiPortFdbEntryEgressesInAscendingPortOrder) {
+  // Equal residence, so the egress events tie and run in the order the
+  // switch scheduled them.
+  Fan f(6);
+  const MacAddress group({0x01, 0x00, 0x5e, 0x01, 0x02, 0x03});
+  for (const std::size_t port : {4, 1, 5, 2, 4}) f.sw.add_fdb_entry(0, group, port);
+  EthernetFrame frame;
+  frame.dst = group;
+  frame.ethertype = 0x1234;
+  frame.payload.resize(46);
+  f.nics[0]->send(frame);
+  f.sim.run_until(SimTime(1_ms));
+  EXPECT_EQ(f.egress_order, (std::vector<std::size_t>{1, 2, 4, 5}));
+}
+
+TEST(SwitchTest, VlanMembershipBeyondSixtyFourPorts) {
+  Fan f(70);
+  for (const std::size_t port : {0, 3, 64, 69}) f.sw.add_vlan_member(20, port);
+  EthernetFrame frame;
+  frame.dst = MacAddress::broadcast();
+  frame.vlan = VlanTag{20, 0};
+  frame.ethertype = 0x1234;
+  frame.payload.resize(46);
+  f.nics[0]->send(frame);
+  f.sim.run_until(SimTime(1_ms));
+  EXPECT_EQ(f.egress_order, (std::vector<std::size_t>{3, 64, 69}));
+}
+
 } // namespace
 } // namespace tsn::net
