@@ -81,16 +81,32 @@ void BM_Median(benchmark::State& state) {
 }
 BENCHMARK(BM_Median)->Arg(4)->Arg(64);
 
+// The sigma of the normal draws, 8 ns as in the HW-timestamp jitter. A
+// volatile read keeps the compiler from folding it into the draw; handing
+// a local to benchmark::DoNotOptimize instead miscompiles under GCC 12
+// (the "+m,r" constraint leaves the stack slot the loop reads unwritten,
+// so the draws were scaled by whatever the slot held).
+volatile double opaque_sigma = 8.0;
+
 void BM_RngNormal(benchmark::State& state) {
-  // One RngStream::normal per item: the Gaussian noise every hop of the
-  // model draws (oscillator wander, HW-timestamp and link jitter).
+  // One RngStream::normal per item: the draw of the streams that mix
+  // distributions (the probe's software-timestamp jitter).
   util::RngStream rng(1, "bm-normal");
-  double sigma = 8.0;
-  benchmark::DoNotOptimize(sigma);
+  const double sigma = opaque_sigma;
   for (auto _ : state) benchmark::DoNotOptimize(rng.normal(0.0, sigma));
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RngNormal);
+
+void BM_NormalStreamNormal(benchmark::State& state) {
+  // One NormalStream::normal per item, block refills included (one per
+  // 32 draws): the draw the oscillator, PHC, link and switch streams make.
+  util::NormalStream rng(1, "bm-normal");
+  const double sigma = opaque_sigma;
+  for (auto _ : state) benchmark::DoNotOptimize(rng.normal(0.0, sigma));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_NormalStreamNormal);
 
 void BM_RngEngineWord(benchmark::State& state) {
   // One 64-bit engine word per item, refills included (one per 312 words).

@@ -1,7 +1,6 @@
 #include "check/fuzz.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -9,6 +8,7 @@
 
 #include "experiments/harness.hpp"
 #include "sweep/sweep_runner.hpp"
+#include "util/config.hpp"
 #include "util/rng.hpp"
 #include "util/str.hpp"
 
@@ -340,7 +340,9 @@ std::string replay_to_text(const FuzzCase& c) {
 }
 
 FuzzCase replay_from_text(const std::string& text) {
-  std::map<std::string, std::string> kv;
+  // Every scalar goes through util::Config, so a value must parse whole
+  // and a key nothing reads (a misspelling) is rejected by name.
+  util::Config kv;
   std::vector<std::pair<std::size_t, faults::ScheduledFault>> faults;
   std::vector<std::pair<std::size_t, attack::AttackSpec>> attacks;
   std::istringstream in(text);
@@ -353,6 +355,21 @@ FuzzCase replay_from_text(const std::string& text) {
     }
     return ordinal;
   };
+  // The comma-separated fields of a fault<N>/attack<N> value, exactly `n`.
+  auto fields = [](const std::string& key, const std::string& value, std::size_t n) {
+    std::vector<std::string> out;
+    for (std::size_t start = 0;;) {
+      const std::size_t comma = value.find(',', start);
+      out.push_back(value.substr(start, comma - start));
+      if (comma == std::string::npos) break;
+      start = comma + 1;
+    }
+    if (out.size() != n) {
+      throw std::runtime_error(util::format("replay: '%s' needs %zu fields, got '%s'", key.c_str(),
+                                            n, value.c_str()));
+    }
+    return out;
+  };
   while (std::getline(in, line)) {
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty() || line[0] == '#') continue;
@@ -362,100 +379,80 @@ FuzzCase replay_from_text(const std::string& text) {
     const std::string value = line.substr(eq + 1);
     if (key.rfind("fault", 0) == 0 && key.size() > 5) {
       const std::size_t ordinal = parse_ordinal(key, 5);
-      faults::ScheduledFault f;
-      long long at = 0, down = 0;
-      unsigned long long ecd = 0, vm = 0;
-      if (std::sscanf(value.c_str(), "%lld,%llu,%llu,%lld", &at, &ecd, &vm, &down) != 4) {
-        throw std::runtime_error("replay: bad fault '" + value + "'");
-      }
-      f.at_ns = at;
-      f.ecd = static_cast<std::size_t>(ecd);
-      f.vm = static_cast<std::size_t>(vm);
-      f.downtime_ns = down;
-      faults.emplace_back(ordinal, f);
+      const std::vector<std::string> f = fields(key, value, 4);
+      faults::ScheduledFault fault;
+      fault.at_ns = util::parse_int(key + ".at_ns", f[0]);
+      fault.ecd = static_cast<std::size_t>(util::parse_uint64(key + ".ecd", f[1]));
+      fault.vm = static_cast<std::size_t>(util::parse_uint64(key + ".vm", f[2]));
+      fault.downtime_ns = util::parse_int(key + ".downtime_ns", f[3]);
+      faults.emplace_back(ordinal, fault);
     } else if (key.rfind("attack", 0) == 0 && key.size() > 6) {
       const std::size_t ordinal = parse_ordinal(key, 6);
-      const std::size_t comma = value.find(',');
-      if (comma == std::string::npos) throw std::runtime_error("replay: bad attack '" + value + "'");
-      const auto kind = attack::parse_attack_kind(value.substr(0, comma));
+      const std::vector<std::string> f = fields(key, value, 7);
+      const auto kind = attack::parse_attack_kind(f[0]);
       if (!kind) throw std::runtime_error("replay: unknown attack kind in '" + value + "'");
       attack::AttackSpec a;
       a.kind = *kind;
-      unsigned long long ecd = 0;
-      long long start = 0, duration = 0;
-      double magnitude = 0.0, secondary = 0.0;
-      int excluded = 0;
-      if (std::sscanf(value.c_str() + comma + 1, "%llu,%lld,%lld,%lf,%lf,%d", &ecd, &start,
-                      &duration, &magnitude, &secondary, &excluded) != 6) {
-        throw std::runtime_error("replay: bad attack '" + value + "'");
-      }
-      a.ecd = static_cast<std::size_t>(ecd);
-      a.start_ns = start;
-      a.duration_ns = duration;
-      a.magnitude = magnitude;
-      a.secondary = secondary;
-      a.expect_excluded = excluded != 0;
+      a.ecd = static_cast<std::size_t>(util::parse_uint64(key + ".ecd", f[1]));
+      a.start_ns = util::parse_int(key + ".start_ns", f[2]);
+      a.duration_ns = util::parse_int(key + ".duration_ns", f[3]);
+      a.magnitude = util::parse_double(key + ".magnitude", f[4]);
+      a.secondary = util::parse_double(key + ".secondary", f[5]);
+      a.expect_excluded = util::parse_int(key + ".expect_excluded", f[6]) != 0;
       attacks.emplace_back(ordinal, a);
     } else {
-      kv[key] = value;
+      kv.set(key, value);
     }
   }
 
-  auto get_i = [&](const char* key, std::int64_t def) {
-    auto it = kv.find(key);
-    return it == kv.end() ? def : static_cast<std::int64_t>(std::stoll(it->second));
-  };
-  auto get_u = [&](const char* key, std::uint64_t def) {
-    auto it = kv.find(key);
-    return it == kv.end() ? def : static_cast<std::uint64_t>(std::stoull(it->second));
-  };
-  auto get_d = [&](const char* key, double def) {
-    auto it = kv.find(key);
-    return it == kv.end() ? def : std::stod(it->second);
+  auto get_size = [&](const char* key, std::size_t def) {
+    return static_cast<std::size_t>(kv.get_uint64(key, def));
   };
 
   FuzzCase c;
-  c.master_seed = get_u("master_seed", c.master_seed);
-  c.index = get_u("index", c.index);
-  c.duration_ns = get_i("duration_ns", c.duration_ns);
+  c.master_seed = kv.get_uint64("master_seed", c.master_seed);
+  c.index = kv.get_uint64("index", c.index);
+  c.duration_ns = kv.get_int("duration_ns", c.duration_ns);
 
   experiments::ScenarioConfig& s = c.scenario;
-  s.seed = get_u("seed", s.seed);
-  s.num_ecds = static_cast<std::size_t>(get_i("num_ecds", (std::int64_t)s.num_ecds));
-  s.fta_f = static_cast<int>(get_i("fta_f", s.fta_f));
-  if (kv.count("aggregation")) s.aggregation = parse_method(kv["aggregation"]);
-  if (kv.count("topology")) s.topology = experiments::parse_topology(kv["topology"]);
-  s.num_domains = static_cast<std::size_t>(get_i("num_domains", (std::int64_t)s.num_domains));
-  s.partitions = static_cast<std::size_t>(get_i("partitions", (std::int64_t)s.partitions));
-  s.max_drift_ppm = get_d("max_drift_ppm", s.max_drift_ppm);
-  s.wander_sigma_ppm = get_d("wander_sigma_ppm", s.wander_sigma_ppm);
-  s.nic_ts_jitter_ns = get_d("nic_ts_jitter_ns", s.nic_ts_jitter_ns);
-  s.initial_phase_range_ns = get_d("initial_phase_range_ns", s.initial_phase_range_ns);
-  s.host_link_delay_ns = get_i("host_link_delay_ns", s.host_link_delay_ns);
-  s.host_link_jitter_ns = get_d("host_link_jitter_ns", s.host_link_jitter_ns);
-  s.mesh_link_delay_ns = get_i("mesh_link_delay_ns", s.mesh_link_delay_ns);
-  s.mesh_link_jitter_ns = get_d("mesh_link_jitter_ns", s.mesh_link_jitter_ns);
-  s.switch_residence_ns = get_i("switch_residence_ns", s.switch_residence_ns);
-  s.switch_residence_jitter_ns = get_d("switch_residence_jitter_ns", s.switch_residence_jitter_ns);
-  s.sync_interval_ns = get_i("sync_interval_ns", s.sync_interval_ns);
-  s.validity_threshold_ns = get_d("validity_threshold_ns", s.validity_threshold_ns);
-  s.startup_threshold_ns = get_d("startup_threshold_ns", s.startup_threshold_ns);
-  s.startup_consecutive = static_cast<int>(get_i("startup_consecutive", s.startup_consecutive));
-  s.synctime_period_ns = get_i("synctime_period_ns", s.synctime_period_ns);
-  s.synctime_feed_forward = get_i("synctime_feed_forward", s.synctime_feed_forward ? 1 : 0) != 0;
-  s.gm_mutual_sync = get_i("gm_mutual_sync", s.gm_mutual_sync ? 1 : 0) != 0;
-  s.measurement_ecd = static_cast<std::size_t>(get_i("measurement_ecd", (std::int64_t)s.measurement_ecd));
+  s.seed = kv.get_uint64("seed", s.seed);
+  s.num_ecds = get_size("num_ecds", s.num_ecds);
+  s.fta_f = static_cast<int>(kv.get_int("fta_f", s.fta_f));
+  if (kv.has("aggregation")) s.aggregation = parse_method(kv.get_string("aggregation"));
+  if (kv.has("topology")) s.topology = experiments::parse_topology(kv.get_string("topology"));
+  s.num_domains = get_size("num_domains", s.num_domains);
+  s.partitions = get_size("partitions", s.partitions);
+  s.max_drift_ppm = kv.get_double("max_drift_ppm", s.max_drift_ppm);
+  s.wander_sigma_ppm = kv.get_double("wander_sigma_ppm", s.wander_sigma_ppm);
+  s.nic_ts_jitter_ns = kv.get_double("nic_ts_jitter_ns", s.nic_ts_jitter_ns);
+  s.initial_phase_range_ns = kv.get_double("initial_phase_range_ns", s.initial_phase_range_ns);
+  s.host_link_delay_ns = kv.get_int("host_link_delay_ns", s.host_link_delay_ns);
+  s.host_link_jitter_ns = kv.get_double("host_link_jitter_ns", s.host_link_jitter_ns);
+  s.mesh_link_delay_ns = kv.get_int("mesh_link_delay_ns", s.mesh_link_delay_ns);
+  s.mesh_link_jitter_ns = kv.get_double("mesh_link_jitter_ns", s.mesh_link_jitter_ns);
+  s.switch_residence_ns = kv.get_int("switch_residence_ns", s.switch_residence_ns);
+  s.switch_residence_jitter_ns =
+      kv.get_double("switch_residence_jitter_ns", s.switch_residence_jitter_ns);
+  s.sync_interval_ns = kv.get_int("sync_interval_ns", s.sync_interval_ns);
+  s.validity_threshold_ns = kv.get_double("validity_threshold_ns", s.validity_threshold_ns);
+  s.startup_threshold_ns = kv.get_double("startup_threshold_ns", s.startup_threshold_ns);
+  s.startup_consecutive = static_cast<int>(kv.get_int("startup_consecutive", s.startup_consecutive));
+  s.synctime_period_ns = kv.get_int("synctime_period_ns", s.synctime_period_ns);
+  s.synctime_feed_forward = kv.get_bool("synctime_feed_forward", s.synctime_feed_forward);
+  s.gm_mutual_sync = kv.get_bool("gm_mutual_sync", s.gm_mutual_sync);
+  s.measurement_ecd = get_size("measurement_ecd", s.measurement_ecd);
   s.gm_kernels.assign(s.num_ecds, "4.19.1");
 
   faults::InjectorConfig& inj = c.injector;
-  inj.gm_kill_period_ns = get_i("gm_kill_period_ns", inj.gm_kill_period_ns);
-  inj.gm_downtime_ns = get_i("gm_downtime_ns", inj.gm_downtime_ns);
-  inj.standby_kills_per_hour = get_d("standby_kills_per_hour", inj.standby_kills_per_hour);
-  inj.standby_min_gap_ns = get_i("standby_min_gap_ns", inj.standby_min_gap_ns);
-  inj.standby_downtime_ns = get_i("standby_downtime_ns", inj.standby_downtime_ns);
+  inj.gm_kill_period_ns = kv.get_int("gm_kill_period_ns", inj.gm_kill_period_ns);
+  inj.gm_downtime_ns = kv.get_int("gm_downtime_ns", inj.gm_downtime_ns);
+  inj.standby_kills_per_hour = kv.get_double("standby_kills_per_hour", inj.standby_kills_per_hour);
+  inj.standby_min_gap_ns = kv.get_int("standby_min_gap_ns", inj.standby_min_gap_ns);
+  inj.standby_downtime_ns = kv.get_int("standby_downtime_ns", inj.standby_downtime_ns);
 
-  c.replay.raw = get_i("replay_raw", 0) != 0;
-  c.fast_forward = get_i("fast_forward", 0) != 0;
+  c.replay.raw = kv.get_bool("replay_raw", false);
+  c.fast_forward = kv.get_bool("fast_forward", false);
+  kv.reject_unread();
   std::sort(faults.begin(), faults.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   for (auto& [ordinal, f] : faults) c.replay.faults.push_back(f);

@@ -68,7 +68,7 @@ sim::Simulation& Link::sender_sim(bool from_a) {
 
 std::int64_t Link::draw_delay(bool from_a) {
   const DelayModel& m = from_a ? cfg_.a_to_b : cfg_.b_to_a;
-  util::RngStream& rng = (!from_a && rng_ba_) ? *rng_ba_ : rng_;
+  util::NormalStream& rng = (!from_a && rng_ba_) ? *rng_ba_ : rng_;
   const double jitter = rng.normal(0.0, m.jitter_sigma_ns);
   std::int64_t d = m.base_ns + util::round_i64(jitter);
   const DelayAttack& atk = from_a ? atk_ab_ : atk_ba_;

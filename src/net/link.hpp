@@ -123,9 +123,9 @@ class Link : public sim::Persistent {
   Port& b_;
   LinkConfig cfg_;
   std::string name_;
-  util::RngStream rng_;                  ///< legacy shared stream (local links)
+  util::NormalStream rng_;               ///< legacy shared stream (local links)
   sim::PartitionRuntime* rt_ = nullptr;  ///< non-null for boundary links
-  std::optional<util::RngStream> rng_ba_; ///< boundary: B->A direction stream
+  std::optional<util::NormalStream> rng_ba_; ///< boundary: B->A direction stream
   std::uint32_t ch_ab_ = 0, ch_ba_ = 0;
   DelayAttack atk_ab_, atk_ba_; ///< per-direction adversarial delay
 };

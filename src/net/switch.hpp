@@ -105,7 +105,7 @@ class Switch : public FrameSink, public sim::Persistent {
   std::vector<Vlan> vlans_;   ///< sorted by vid
   std::vector<FdbEntry> fdb_; ///< sorted by key
   PtpSink ptp_sink_;
-  util::RngStream residence_rng_;
+  util::NormalStream residence_rng_;
 };
 
 } // namespace tsn::net

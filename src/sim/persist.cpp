@@ -22,10 +22,17 @@ void StateWriter::begin_section(std::string_view name) {
   str(name);
 }
 
-void StateWriter::rng(const util::RngStream& s) {
-  const util::Mt19937_64::State& words = s.engine().words();
-  put(words.data(), sizeof words);
-  u64(s.engine().index());
+void StateWriter::engine(const util::Mt19937_64& e) {
+  put(e.words().data(), sizeof(util::Mt19937_64::State));
+  u64(e.index());
+}
+
+void StateWriter::rng(const util::RngStream& s) { engine(s.engine()); }
+
+void StateWriter::rng(const util::NormalStream& s) {
+  engine(s.engine());
+  for (double z : s.block()) f64(z);
+  u64(s.cursor());
 }
 
 void StateReader::get(void* p, std::size_t n) {
@@ -47,15 +54,32 @@ void StateReader::begin_section(std::string_view name) {
   }
 }
 
-void StateReader::rng(util::RngStream& s) {
-  util::Mt19937_64::State words{};
+std::size_t StateReader::engine(util::Mt19937_64::State& words) {
   get(words.data(), sizeof words);
   const std::uint64_t index = u64();
   if (index > util::Mt19937_64::kStateWords) {
     throw std::runtime_error("StateReader: bad RNG engine state (index " + std::to_string(index) +
                              ")");
   }
-  s.engine().set_state(words, static_cast<std::size_t>(index));
+  return static_cast<std::size_t>(index);
+}
+
+void StateReader::rng(util::RngStream& s) {
+  util::Mt19937_64::State words{};
+  const std::size_t index = engine(words);
+  s.engine().set_state(words, index);
+}
+
+void StateReader::rng(util::NormalStream& s) {
+  util::Mt19937_64::State words{};
+  const std::size_t index = engine(words);
+  util::NormalStream::Block block{};
+  for (double& z : block) z = f64();
+  const std::uint64_t cursor = u64();
+  if (cursor > util::NormalStream::kBlock) {
+    throw std::runtime_error("StateReader: bad normal block cursor " + std::to_string(cursor));
+  }
+  s.set_state(words, index, block, static_cast<std::size_t>(cursor));
 }
 
 } // namespace tsn::sim

@@ -77,6 +77,8 @@ class StateWriter {
   }
   /// Engine state: the state words and the index of the next word.
   void rng(const util::RngStream& s);
+  /// The engine as above, then the variate block and its cursor.
+  void rng(const util::NormalStream& s);
   template <typename T>
   void opt_i64(const std::optional<T>& v) {
     b(v.has_value());
@@ -89,6 +91,7 @@ class StateWriter {
 
  private:
   void put(const void* p, std::size_t n);
+  void engine(const util::Mt19937_64& e);
 
   std::vector<std::uint8_t> buf_;
   std::uint64_t hash_ = 1469598103934665603ull; // FNV-1a offset basis
@@ -145,6 +148,7 @@ class StateReader {
     return s;
   }
   void rng(util::RngStream& s);
+  void rng(util::NormalStream& s);
   template <typename T>
   std::optional<T> opt_i64() {
     const bool has = b();
@@ -157,6 +161,8 @@ class StateReader {
 
  private:
   void get(void* p, std::size_t n);
+  /// Engine words and index; throws on an index past the state.
+  std::size_t engine(util::Mt19937_64::State& words);
 
   const std::vector<std::uint8_t>& buf_;
   std::size_t pos_ = 0;

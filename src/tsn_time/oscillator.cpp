@@ -20,12 +20,9 @@ double initial_drift(const OscillatorModel& model, util::RngStream& rng) {
 
 Oscillator::Oscillator(const OscillatorModel& model, util::RngStream rng)
     : model_(model),
-      rng_(std::move(rng)),
-      drift_(0.0, model.wander_sigma_ppm, model.max_drift_ppm),
-      next_wander_at_ns_(model.wander_step_ns) {
-  drift_ = util::BoundedRandomWalk(initial_drift(model_, rng_), model_.wander_sigma_ppm,
-                                   model_.max_drift_ppm);
-}
+      drift_(initial_drift(model, rng), model.wander_sigma_ppm, model.max_drift_ppm),
+      rng_(rng),
+      next_wander_at_ns_(model.wander_step_ns) {}
 
 long double Oscillator::integrate_segment(std::int64_t dt_ns) const {
   const long double rate = 1.0L + static_cast<long double>(drift_.value()) * 1e-6L;

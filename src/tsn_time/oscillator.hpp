@@ -68,8 +68,9 @@ class Oscillator {
   double fold_drift(double v) const;
 
   OscillatorModel model_;
-  util::RngStream rng_;
   util::BoundedRandomWalk drift_;
+  /// The constructor's stream after its initial-drift draw.
+  util::NormalStream rng_;
   sim::SimTime last_ = sim::SimTime::zero();
   std::int64_t next_wander_at_ns_;
 };

@@ -82,7 +82,7 @@ class PhcClock {
   PhcModel model_;
   std::string name_;
   Oscillator osc_;
-  util::RngStream ts_rng_;
+  util::NormalStream ts_rng_;
   long double value_ns_ = 0.0L;
   double freq_adj_ppb_ = 0.0;
   double atk_drift_ppm_ = 0.0;

@@ -45,11 +45,30 @@ T parse_number(const std::string& key, const std::string& v, const char* type) {
 
 } // namespace
 
+std::int64_t parse_int(const std::string& what, const std::string& v) {
+  return parse_number<std::int64_t>(what, v, "integer");
+}
+
+std::uint64_t parse_uint64(const std::string& what, const std::string& v) {
+  return parse_number<std::uint64_t>(what, v, "unsigned integer");
+}
+
+double parse_double(const std::string& what, const std::string& v) {
+  return parse_number<double>(what, v, "number");
+}
+
 std::int64_t Config::get_int(const std::string& key, std::int64_t def) const {
   read_.insert(key);
   auto it = values_.find(key);
   if (it == values_.end()) return def;
-  return parse_number<std::int64_t>(key, it->second, "integer");
+  return parse_int(key, it->second);
+}
+
+std::uint64_t Config::get_uint64(const std::string& key, std::uint64_t def) const {
+  read_.insert(key);
+  auto it = values_.find(key);
+  if (it == values_.end()) return def;
+  return parse_uint64(key, it->second);
 }
 
 std::int64_t Config::get_int_at_least(const std::string& key, std::int64_t def,
@@ -66,7 +85,7 @@ double Config::get_double(const std::string& key, double def) const {
   read_.insert(key);
   auto it = values_.find(key);
   if (it == values_.end()) return def;
-  return parse_number<double>(key, it->second, "number");
+  return parse_double(key, it->second);
 }
 
 bool Config::get_bool(const std::string& key, bool def) const {

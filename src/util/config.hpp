@@ -29,6 +29,8 @@ class Config {
   /// empty or out-of-range value) throws std::invalid_argument naming the key.
   std::string get_string(const std::string& key, std::string def = {}) const;
   std::int64_t get_int(const std::string& key, std::int64_t def) const;
+  /// The full unsigned 64-bit range (seeds); a sign is a bad value.
+  std::uint64_t get_uint64(const std::string& key, std::uint64_t def) const;
   /// get_int() that also throws when the value is below `min`.
   std::int64_t get_int_at_least(const std::string& key, std::int64_t def, std::int64_t min) const;
   double get_double(const std::string& key, double def) const;
@@ -47,5 +49,12 @@ class Config {
   /// read from several threads at once.
   mutable std::set<std::string> read_;
 };
+
+/// The whole-value parses behind Config's typed reads, for values that
+/// pack several fields: `what` names the field in the std::invalid_argument
+/// a partial, empty or out-of-range parse throws.
+std::int64_t parse_int(const std::string& what, const std::string& v);
+std::uint64_t parse_uint64(const std::string& what, const std::string& v);
+double parse_double(const std::string& what, const std::string& v);
 
 } // namespace tsn::util

@@ -1,6 +1,7 @@
 #include "util/rng.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 namespace tsn::util {
@@ -12,6 +13,19 @@ namespace {
 /// clamped to nextafter(1, 0) when the rounding reached 1.
 inline double canonical(Mt19937_64& engine) {
   const double r = u64_to_double(engine()) * 0x1p-64;
+  return r < 1.0 ? r : 0x1.fffffffffffffp-1;
+}
+
+/// canonical()'s value for a word already drawn, written so that a loop
+/// over words vectorizes on baseline x86-64, which has no packed 64-bit
+/// integer conversion: each 32-bit half is or-ed into the significand of
+/// a power of two (2^84 for the high half, 2^52 for the low one), and
+/// subtracting that power leaves the half's value exactly. The add is the
+/// one rounding step, as in u64_to_double().
+inline double canonical_of(std::uint64_t u) {
+  const double hi = std::bit_cast<double>(0x4530000000000000ULL | (u >> 32)) - 0x1p84;
+  const double lo = std::bit_cast<double>(0x4330000000000000ULL | (u & 0xffffffffULL)) - 0x1p52;
+  const double r = (hi + lo) * 0x1p-64;
   return r < 1.0 ? r : 0x1.fffffffffffffp-1;
 }
 
@@ -58,6 +72,18 @@ void Mt19937_64::refill() {
   }
   state_[n - 1] = state_[kShift - 1] ^ twist(state_[n - 1], state_[0]);
   index_ = 0;
+}
+
+void Mt19937_64::fill(result_type* out, std::size_t n) {
+  while (n > 0) {
+    if (index_ >= kStateWords) refill();
+    const std::size_t take = std::min(n, kStateWords - index_);
+    const std::uint64_t* words = state_.data() + index_;
+    for (std::size_t i = 0; i < take; ++i) out[i] = temper(words[i]);
+    index_ += take;
+    out += take;
+    n -= take;
+  }
 }
 
 RngStream::RngStream(std::uint64_t master_seed, std::string_view stream_name)
@@ -123,7 +149,42 @@ bool RngStream::chance(double p) {
   return uniform01() < p;
 }
 
-double BoundedRandomWalk::step(RngStream& rng) {
+void NormalStream::refill() {
+  // RngStream::normal's polar method, kBlock draws at once. Pairs are
+  // taken kBlock - accepted at a time, so the engine never gives up a
+  // word past the kBlock-th accepted pair and the next refill resumes
+  // where kBlock calls of RngStream::normal would.
+  std::array<std::uint64_t, 2 * kBlock> words;
+  std::array<double, 2 * kBlock> u;
+  std::array<double, kBlock> y;
+  std::array<double, kBlock> r2;
+  std::size_t accepted = 0;
+  while (accepted < kBlock) {
+    const std::size_t pairs = kBlock - accepted;
+    engine_.fill(words.data(), 2 * pairs);
+    for (std::size_t i = 0; i < 2 * pairs; ++i) u[i] = canonical_of(words[i]);
+    // Every pair is written to the next free slot, and the slot is kept
+    // only when the pair passes the rejection test.
+    for (std::size_t i = 0; i < pairs; ++i) {
+      const double px = 2.0 * u[2 * i] - 1.0;
+      const double py = 2.0 * u[2 * i + 1] - 1.0;
+      const double pr2 = px * px + py * py;
+      y[accepted] = py;
+      r2[accepted] = pr2;
+      accepted += static_cast<std::size_t>((pr2 <= 1.0) & (pr2 != 0.0));
+    }
+  }
+  // Independent logs overlap in the pipeline instead of each sitting on
+  // the critical path of one draw.
+  std::array<double, kBlock> log_r2;
+  for (std::size_t i = 0; i < kBlock; ++i) log_r2[i] = std::log(r2[i]);
+  for (std::size_t i = 0; i < kBlock; ++i) {
+    block_[i] = y[i] * std::sqrt(-2 * log_r2[i] / r2[i]);
+  }
+  next_ = 0;
+}
+
+double BoundedRandomWalk::step(NormalStream& rng) {
   value_ += rng.normal(0.0, step_sigma_);
   // Reflect at the bounds so long runs stay well-mixed instead of sticking.
   if (value_ > bound_) value_ = 2 * bound_ - value_;

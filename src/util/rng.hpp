@@ -12,6 +12,11 @@
 // on baseline x86-64 (DESIGN.md §6c). Every draw is bit-identical to
 // std::mt19937_64 feeding the libstdc++ distributions; tests/util/rng_test.cpp
 // pins that against the standard library as the reference.
+//
+// Streams that only ever draw normals (oscillator wander, HW-timestamp,
+// link and switch jitter) are NormalStreams: they compute their variates
+// NormalStream::kBlock at a time, off the critical path of the hop that
+// asks for one, and still return exactly what RngStream::normal would.
 #pragma once
 
 #include <array>
@@ -51,13 +56,12 @@ class Mt19937_64 {
 
   result_type operator()() {
     if (index_ >= kStateWords) refill();
-    std::uint64_t z = state_[index_++];
-    z ^= (z >> 29) & 0x5555555555555555ULL;
-    z ^= (z << 17) & 0x71d67fffeda60000ULL;
-    z ^= (z << 37) & 0xfff7eee000000000ULL;
-    z ^= z >> 43;
-    return z;
+    return temper(state_[index_++]);
   }
+
+  /// The next n words, as n calls of operator() would return them, in one
+  /// loop over the state per refill.
+  void fill(result_type* out, std::size_t n);
 
   /// Raw state for snapshots: the state words and the index of the next
   /// word to temper (kStateWords means a refill is due).
@@ -70,6 +74,13 @@ class Mt19937_64 {
   }
 
  private:
+  static std::uint64_t temper(std::uint64_t z) {
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    z ^= z >> 43;
+    return z;
+  }
   void refill();
 
   State state_{};
@@ -104,6 +115,51 @@ class RngStream {
   Mt19937_64 engine_;
 };
 
+/// A stream that draws only normals. Each refill runs the polar method for
+/// the next kBlock accepted pairs in one pass -- conversion, rejection,
+/// then the logs, divides and square roots in straight loops -- and keeps
+/// the unscaled variates z = y * sqrt(-2 ln r2 / r2). normal(mean, stddev)
+/// returns z * stddev + mean, the value a fresh std::normal_distribution
+/// computes for that draw, so the sequence equals RngStream::normal's on
+/// the same engine. Not for streams that mix distributions: the block
+/// takes engine words ahead of the draws that consume them.
+class NormalStream {
+ public:
+  static constexpr std::size_t kBlock = 32;
+  using Block = std::array<double, kBlock>;
+
+  NormalStream(std::uint64_t master_seed, std::string_view stream_name)
+      : NormalStream(RngStream(master_seed, stream_name)) {}
+  /// Continues `s`'s engine: the draws equal s.normal() on a copy of `s`.
+  explicit NormalStream(const RngStream& s) : engine_(s.engine()) {}
+
+  /// Normal with the given mean / standard deviation.
+  double normal(double mean, double stddev) {
+    if (next_ == kBlock) refill();
+    return block_[next_++] * stddev + mean;
+  }
+
+  /// Raw state for snapshots: the engine, the block and the index of the
+  /// next unread variate (kBlock means a refill is due).
+  const Mt19937_64& engine() const { return engine_; }
+  const Block& block() const { return block_; }
+  std::size_t cursor() const { return next_; }
+  /// Restore a state taken from the accessors above; cursor <= kBlock.
+  void set_state(const Mt19937_64::State& words, std::size_t index, const Block& block,
+                 std::size_t cursor) {
+    engine_.set_state(words, index);
+    block_ = block;
+    next_ = cursor;
+  }
+
+ private:
+  void refill();
+
+  Mt19937_64 engine_;
+  Block block_{};
+  std::size_t next_ = kBlock;
+};
+
 /// A random walk clamped to [-bound, +bound]; used for oscillator wander.
 class BoundedRandomWalk {
  public:
@@ -111,7 +167,7 @@ class BoundedRandomWalk {
       : value_(initial), step_sigma_(step_sigma), bound_(bound) {}
 
   /// Advance one step; reflects at the bounds.
-  double step(RngStream& rng);
+  double step(NormalStream& rng);
   double value() const { return value_; }
   /// Restore a previously observed position (snapshot/rollback).
   void set_value(double v) { value_ = v; }

@@ -219,6 +219,51 @@ TEST(SimSnapshotTest, RngStateWithIndexPastTheStateIsRejected) {
   EXPECT_THROW(r.rng(s), std::runtime_error);
 }
 
+TEST(SimSnapshotTest, NormalStreamRoundTripResumesMidBlock) {
+  // Cursor 0 is a freshly computed block nothing has read yet; 1 and 31
+  // sit inside a block and 32 is an exhausted one. Each is restored into
+  // a stream of another seed, which must continue the saved stream and
+  // save back to the same bytes.
+  using tsn::util::NormalStream;
+  for (const std::size_t cursor : {0u, 1u, 31u, 32u}) {
+    NormalStream saved(21, "persist");
+    for (int i = 0; i < 100; ++i) saved.normal(0.0, 8.0); // past one refill
+    while (saved.cursor() != (cursor == 0 ? NormalStream::kBlock : cursor)) {
+      saved.normal(0.0, 8.0);
+    }
+    if (cursor == 0) {
+      // Draw once to compute the next block, then rewind the cursor: the
+      // state an eager refill would have left.
+      saved.normal(0.0, 8.0);
+      saved.set_state(saved.engine().words(), saved.engine().index(), saved.block(), 0);
+    }
+    ASSERT_EQ(saved.cursor(), cursor);
+    tsn::sim::StateWriter w;
+    w.rng(saved);
+    NormalStream restored(99, "other");
+    tsn::sim::StateReader r(w.data());
+    r.rng(restored);
+    EXPECT_TRUE(r.at_end());
+    tsn::sim::StateWriter again;
+    again.rng(restored);
+    EXPECT_EQ(again.data(), w.data()) << "cursor " << cursor;
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_EQ(restored.normal(1.5, 8.0), saved.normal(1.5, 8.0)) << "cursor " << cursor << " draw " << i;
+    }
+  }
+}
+
+TEST(SimSnapshotTest, NormalStreamCursorPastTheBlockIsRejected) {
+  tsn::util::NormalStream s(1, "persist");
+  tsn::sim::StateWriter w;
+  w.rng(s);
+  std::vector<std::uint8_t> bytes = w.data();
+  const std::uint64_t bad_cursor = tsn::util::NormalStream::kBlock + 1;
+  std::memcpy(bytes.data() + bytes.size() - sizeof bad_cursor, &bad_cursor, sizeof bad_cursor);
+  tsn::sim::StateReader r(bytes);
+  EXPECT_THROW(r.rng(s), std::runtime_error);
+}
+
 TEST(SimSnapshotTest, RestoreWithMismatchedTargetOrderThrows) {
   World w(5);
   w.run_to(50'000'000);

@@ -103,7 +103,7 @@ TEST(RngTest, Fnv1aKnownValues) {
 }
 
 TEST(BoundedRandomWalkTest, StaysWithinBounds) {
-  RngStream r(9, "walk");
+  NormalStream r(9, "walk");
   BoundedRandomWalk w(0.0, 0.5, 5.0);
   for (int i = 0; i < 10000; ++i) {
     const double v = w.step(r);
@@ -113,7 +113,7 @@ TEST(BoundedRandomWalkTest, StaysWithinBounds) {
 }
 
 TEST(BoundedRandomWalkTest, ActuallyMoves) {
-  RngStream r(9, "walk2");
+  NormalStream r(9, "walk2");
   BoundedRandomWalk w(0.0, 0.1, 5.0);
   double min = 0, max = 0;
   for (int i = 0; i < 10000; ++i) {
@@ -202,7 +202,7 @@ TEST(RngKernelTest, ExponentialMatchesStdBitwise) {
 }
 
 TEST(RngKernelTest, RandomWalkMatchesStdBitwise) {
-  RngStream s(15, "walk");
+  NormalStream s(15, "walk");
   std::mt19937_64 ref = reference_engine(15, "walk");
   BoundedRandomWalk walk(0.1, 0.05, 1.0);
   double want = 0.1;
@@ -242,6 +242,59 @@ TEST(RngKernelTest, U64ToDoubleRoundsLikeStaticCast) {
   }
 }
 
+TEST(RngKernelTest, FillMatchesWordByWord) {
+  // Every start index of the 312-word state, and runs that end inside the
+  // state, exactly at its end, or one or two refills later.
+  const std::size_t lengths[] = {0, 1, 2, 63, 64, 311, 312, 313, 624, 700};
+  std::vector<std::uint64_t> got(700);
+  for (std::size_t start = 0; start <= Mt19937_64::kStateWords; ++start) {
+    RngStream base(16, "fill");
+    for (std::size_t i = 0; i < start; ++i) base.engine()();
+    for (const std::size_t n : lengths) {
+      Mt19937_64 block = base.engine();
+      Mt19937_64 single = base.engine();
+      block.fill(got.data(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(got[i], single()) << "start " << start << " n " << n << " word " << i;
+      }
+      EXPECT_EQ(block(), single()) << "start " << start << " n " << n << " next word";
+    }
+  }
+}
+
+TEST(NormalStreamTest, MatchesStdNormalBitwise) {
+  // Mean and sigma change on every draw, so a block that scaled its
+  // variates ahead of time would fail; 2^20 draws cross 32k blocks and
+  // ~8.5k engine refills per stream.
+  for (const auto& [seed, name] : std::vector<std::pair<std::uint64_t, std::string>>{
+           {11, "normal"}, {1, "phc-ts/ecd0/vm0/nic"}, {0xffffffffffffffffULL, "link/sw0-sw1/ab"}}) {
+    NormalStream s(seed, name);
+    std::mt19937_64 ref = reference_engine(seed, name);
+    for (int i = 0; i < kDraws; ++i) {
+      const double mean = (i % 3 == 0) ? 0.0 : (i % 3 == 1 ? -3.25 * i : 1e9 + i);
+      const double sigma = (i & 1) ? 8.0 : 1e-3 * (1 + (i & 255));
+      const double want = std::normal_distribution<double>(mean, sigma)(ref);
+      ASSERT_EQ(bits(s.normal(mean, sigma)), bits(want)) << name << " draw " << i;
+    }
+  }
+}
+
+TEST(NormalStreamTest, ContinuesAnRngStream) {
+  // The oscillator draws its initial drift as a uniform and then hands its
+  // engine over; k uniforms leave the engine before, at and after the end
+  // of the first 312-word state.
+  for (const int k : {0, 1, 311, 312, 313}) {
+    RngStream rng(7, "osc/ecd1/vm0/nic/phc");
+    for (int i = 0; i < k; ++i) rng.uniform01();
+    NormalStream blocks(rng);
+    RngStream scalar = rng;
+    for (int i = 0; i < 10'000; ++i) {
+      ASSERT_EQ(bits(blocks.normal(0.0, 0.002)), bits(scalar.normal(0.0, 0.002)))
+          << "k " << k << " draw " << i;
+    }
+  }
+}
+
 TEST(RngKernelTest, GoldenValues) {
   // Pinned outputs: a toolchain or library change that moves a draw must
   // fail here, not silently re-baseline every simulated statistic.
@@ -253,6 +306,8 @@ TEST(RngKernelTest, GoldenValues) {
   EXPECT_EQ(bits(s.normal(0.0, 8.0)), bits(-0x1.754c97fc950e9p+2));
   EXPECT_EQ(bits(s.exponential(2.5)), bits(0x1.75c8c0e6b74c3p+1));
   EXPECT_EQ(s.uniform_int(-1000, 1000), 613);
+  NormalStream n(1, "golden");
+  EXPECT_EQ(bits(n.normal(0.0, 8.0)), bits(-0x1.096653799a9e8p+1));
 }
 
 } // namespace

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Compare two google-benchmark JSON files benchmark-by-benchmark.
+"""Compare two google-benchmark JSON files benchmark-by-benchmark, or two
+tsnfta_sim manifests field by field.
 
 Usage:
     tools/compare_benches.py BASELINE.json CANDIDATE.json [--threshold PCT]
                              [--gate PREFIX[,PREFIX...]]
+    tools/compare_benches.py --manifests PARENT.json CHANGE.json
 
 Prints a per-benchmark table of real-time deltas (positive = candidate is
 slower). Exits non-zero when any benchmark regressed by more than
@@ -19,6 +21,11 @@ benchmark must not silently un-gate), and a gated benchmark that is
 present in the baseline but missing from the candidate run is an
 explicit gate failure (a deleted or crashed benchmark must not pass
 by absence).
+
+With --manifests, the two files are run manifests (tsnfta_sim manifest=)
+of the same command line, and a speed-only change must leave them equal:
+every field is compared exactly, recursively, except the top-level
+git_sha. Each path that differs is printed, and any difference exits 1.
 """
 
 import argparse
@@ -39,6 +46,49 @@ def load(path):
     return out
 
 
+def diff_json(parent, change, path, out):
+    """Append one line per differing path between two decoded JSON values."""
+    if isinstance(parent, dict) and isinstance(change, dict):
+        for key in sorted(set(parent) | set(change)):
+            sub = f"{path}[{json.dumps(key)}]"
+            if key not in change:
+                out.append(f"{sub}: only in parent ({json.dumps(parent[key])})")
+            elif key not in parent:
+                out.append(f"{sub}: only in change ({json.dumps(change[key])})")
+            else:
+                diff_json(parent[key], change[key], sub, out)
+    elif isinstance(parent, list) and isinstance(change, list):
+        for i in range(max(len(parent), len(change))):
+            sub = f"{path}[{i}]"
+            if i >= len(change):
+                out.append(f"{sub}: only in parent ({json.dumps(parent[i])})")
+            elif i >= len(parent):
+                out.append(f"{sub}: only in change ({json.dumps(change[i])})")
+            else:
+                diff_json(parent[i], change[i], sub, out)
+    elif type(parent) is not type(change) or parent != change:
+        out.append(f"{path}: {json.dumps(parent)} -> {json.dumps(change)}")
+
+
+def compare_manifests(parent_path, change_path):
+    with open(parent_path) as f:
+        parent = json.load(f)
+    with open(change_path) as f:
+        change = json.load(f)
+    for doc in (parent, change):
+        if isinstance(doc, dict):
+            doc.pop("git_sha", None)
+    diffs = []
+    diff_json(parent, change, "", diffs)
+    for line in diffs:
+        print(line)
+    if diffs:
+        print(f"\n{len(diffs)} manifest field(s) differ", file=sys.stderr)
+        return 1
+    print("manifests equal (git_sha ignored)")
+    return 0
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("baseline")
@@ -55,7 +105,14 @@ def main():
         metavar="PREFIX[,PREFIX...]",
         help="only benchmarks starting with one of these prefixes can fail",
     )
+    ap.add_argument(
+        "--manifests",
+        action="store_true",
+        help="compare two tsnfta_sim manifests exactly instead of benchmarks",
+    )
     args = ap.parse_args()
+    if args.manifests:
+        return compare_manifests(args.baseline, args.candidate)
 
     base = load(args.baseline)
     cand = load(args.candidate)
