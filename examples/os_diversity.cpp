@@ -10,9 +10,9 @@
 //   $ ./os_diversity
 #include <cstdio>
 
+#include "attack/attack.hpp"
 #include "experiments/harness.hpp"
 #include "experiments/report.hpp"
-#include "faults/attacker.hpp"
 
 using namespace tsn;
 using namespace tsn::sim::literals;
@@ -35,15 +35,20 @@ Outcome attack_run(const std::vector<std::string>& kernels) {
   harness.bring_up();
   const auto cal = harness.calibrate();
 
-  faults::Attacker attacker(scenario.sim(), faults::KernelVulnDb::with_defaults());
-  const auto t0 = scenario.sim().now().ns();
-  attacker.add_step({t0 + 2_min, &scenario.gm_vm(3)});
-  attacker.add_step({t0 + 6_min, &scenario.gm_vm(0)});
-  attacker.start();
+  // CVE-2018-18955 on two GMs; a rooted GM shifts its pOTs by -24 us.
+  attack::AttackDriver attacker;
+  attacker.arm(scenario, {{.kind = attack::AttackKind::kKernelExploit,
+                           .ecd = 3,
+                           .start_ns = 2_min,
+                           .magnitude = -24'000.0},
+                          {.kind = attack::AttackKind::kKernelExploit,
+                           .ecd = 0,
+                           .start_ns = 6_min,
+                           .magnitude = -24'000.0}});
   harness.run_measured(20_min);
 
   Outcome out;
-  out.exploits = attacker.successful_exploits();
+  out.exploits = attacker.exploits_rooted();
   out.avg_ns = scenario.probe().series().stats().mean();
   out.max_ns = scenario.probe().series().stats().max();
   out.holds = experiments::bound_holding_fraction(scenario.probe().series(), cal.bound.pi_ns,

@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "experiments/scenario.hpp"
+#include "faults/kernel_vuln.hpp"
 #include "gptp/bridge.hpp"
 #include "gptp/link_delay.hpp"
 #include "hv/clock_sync_vm.hpp"
@@ -13,6 +14,7 @@
 #include "obs/trace.hpp"
 #include "sim/simulation.hpp"
 #include "tsn_time/phc_clock.hpp"
+#include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/round.hpp"
 #include "util/str.hpp"
@@ -45,12 +47,13 @@ const char* to_string(AttackKind kind) {
     case AttackKind::kSyncStorm: return "sync_storm";
     case AttackKind::kTimerStep: return "timer_step";
     case AttackKind::kTimerSkew: return "timer_skew";
+    case AttackKind::kKernelExploit: return "kernel_exploit";
   }
   return "?";
 }
 
 std::optional<AttackKind> parse_attack_kind(std::string_view name) {
-  for (int k = 0; k <= static_cast<int>(AttackKind::kTimerSkew); ++k) {
+  for (int k = 0; k <= static_cast<int>(AttackKind::kKernelExploit); ++k) {
     const auto kind = static_cast<AttackKind>(k);
     if (name == to_string(kind)) return kind;
   }
@@ -64,6 +67,7 @@ bool compromises_victim_clock(AttackKind kind) {
     case AttackKind::kPdelayTurnaround:
     case AttackKind::kTimerStep:
     case AttackKind::kTimerSkew:
+    case AttackKind::kKernelExploit:
       return true;
     case AttackKind::kCorrectionField:
     case AttackKind::kSyncStorm:
@@ -203,6 +207,9 @@ void AttackDriver::arm(experiments::Scenario& scenario, const AttackSchedule& sc
       case AttackKind::kTimerSkew:
         h.phc = &scenario.gm_vm(spec.ecd).nic().phc();
         break;
+      case AttackKind::kKernelExploit:
+        h.vm = &scenario.gm_vm(spec.ecd);
+        break;
     }
 
     const std::size_t i = armed_.size();
@@ -214,13 +221,31 @@ void AttackDriver::arm(experiments::Scenario& scenario, const AttackSchedule& sc
     // byte-identical across threads= and partitions= (no boundary
     // channels, no lookahead interaction).
     sim::Simulation& rsim = scenario.ecd(spec.ecd).sim();
-    ++scheduled_;
+    ++hooks_[i].scheduled;
     rsim.at(sim::SimTime(armed_[i].start_abs_ns), [this, i] { apply(i, true); });
     if (armed_[i].end_abs_ns != INT64_MAX) {
-      ++scheduled_;
+      ++hooks_[i].scheduled;
       rsim.at(sim::SimTime(armed_[i].end_abs_ns), [this, i] { apply(i, false); });
     }
   }
+}
+
+std::size_t AttackDriver::live_events() const {
+  std::size_t live = 0;
+  for (const Hook& h : hooks_) live += h.scheduled - h.fired;
+  return live;
+}
+
+std::size_t AttackDriver::exploits_attempted() const {
+  std::size_t n = 0;
+  for (const Hook& h : hooks_) n += h.vm != nullptr && h.fired > 0;
+  return n;
+}
+
+std::size_t AttackDriver::exploits_rooted() const {
+  std::size_t n = 0;
+  for (const Hook& h : hooks_) n += h.rooted;
+  return n;
 }
 
 bool AttackDriver::any_active(std::int64_t now_ns) const {
@@ -240,10 +265,10 @@ std::int64_t AttackDriver::next_edge_ns(std::int64_t after_ns) const {
 }
 
 void AttackDriver::apply(std::size_t i, bool enable) {
-  ++fired_;
   const ArmedAttack& a = armed_[i];
   const AttackSpec& s = a.spec;
   Hook& h = hooks_[i];
+  ++h.fired;
 
   switch (s.kind) {
     case AttackKind::kDelayConst:
@@ -292,6 +317,18 @@ void AttackDriver::apply(std::size_t i, bool enable) {
         h.phc->clear_drift_attack();
       }
       break;
+    case AttackKind::kKernelExploit: {
+      static const faults::KernelVulnDb vulns = faults::KernelVulnDb::with_defaults();
+      h.rooted =
+          h.vm->running() && vulns.vulnerable(h.vm->kernel_version(), faults::kCve2018_18955);
+      // Root obtained: swap in the malicious ptp4l.
+      if (h.rooted) h.vm->compromise(util::round_i64(s.magnitude));
+      TSN_LOG_INFO("attack", "exploit %s on %s (kernel %s): %s", faults::kCve2018_18955,
+                   a.victim_vm.c_str(), h.vm->kernel_version().c_str(),
+                   h.rooted ? "SUCCESS" : "failed");
+      if (on_exploit) on_exploit(a, h.rooted);
+      break;
+    }
   }
 
   obs::TraceRecord rec;

@@ -13,9 +13,12 @@
 //   kSyncStorm         TimeAwareBridge::start_sync_storm  volley period ns / -
 //   kTimerStep         time::PhcClock::step               step ns / -
 //   kTimerSkew         time::PhcClock::set_drift_attack   extra ppm / -
+//   kKernelExploit     hv::ClockSyncVm::compromise        malicious pOT offset ns / -
 //
 // Every attack targets one victim ECD: its GM VM's host link, its
-// bridge, or its GM VM's PHC. The oracle half lives in
+// bridge, or its GM VM's PHC or kernel. kKernelExploit is the paper's
+// CVE-2018-18955 exploit (sec. III-B): root only on a running GM VM whose
+// kernel faults::KernelVulnDb lists, never revoked. The oracle half lives in
 // check::AttackExclusionInvariant -- did FTA + diversification keep the
 // precision bound Pi for honest nodes, and how long until honest
 // aggregation masks evict the attacked domain?
@@ -29,6 +32,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -42,6 +46,9 @@ class Scenario;
 namespace tsn::gptp {
 class LinkDelayService;
 class TimeAwareBridge;
+}
+namespace tsn::hv {
+class ClockSyncVm;
 }
 namespace tsn::net {
 class Link;
@@ -63,6 +70,7 @@ enum class AttackKind : std::uint8_t {
   kSyncStorm,        ///< bogus-Sync DoS on an unconfigured domain
   kTimerStep,        ///< one-shot OS-timer step of the victim GM's PHC
   kTimerSkew,        ///< hidden extra drift on the victim GM's PHC
+  kKernelExploit,    ///< root exploit on the victim GM VM's kernel, then a malicious ptp4l
 };
 
 const char* to_string(AttackKind kind);
@@ -115,6 +123,8 @@ struct ArmedAttack {
 /// stages and the run stays byte-identical across `threads=` and
 /// `partitions=` (no cross-region messaging is involved). Pushes a
 /// TraceKind::kAttack record into the victim region's ring at each edge.
+/// Per-attack state is written only by its victim's region and summed
+/// after the run, so same-time edges on different shards never race.
 class AttackDriver : public sim::Persistent {
  public:
   /// Call once after bring-up (the suite may be armed before or after);
@@ -123,6 +133,12 @@ class AttackDriver : public sim::Persistent {
   void arm(experiments::Scenario& scenario, const AttackSchedule& schedule);
 
   const std::vector<ArmedAttack>& armed() const { return armed_; }
+
+  /// Called on the victim's shard at each kKernelExploit attempt.
+  std::function<void(const ArmedAttack&, bool rooted)> on_exploit;
+  /// kKernelExploit attempts that fired, and those that obtained root.
+  std::size_t exploits_attempted() const;
+  std::size_t exploits_rooted() const;
 
   /// True while any armed attack interval covers `now_ns`. Open-ended
   /// attacks (end_abs_ns == INT64_MAX: overt steps and persistent biases)
@@ -140,7 +156,7 @@ class AttackDriver : public sim::Persistent {
   const char* persist_name() const override { return "attack-driver"; }
   void save_state(sim::StateWriter&) override {}
   void load_state(sim::StateReader&) override {}
-  std::size_t live_events() const override { return scheduled_ - fired_; }
+  std::size_t live_events() const override;
 
  private:
   /// Pre-resolved victim objects, so the scheduled closures capture only
@@ -150,16 +166,19 @@ class AttackDriver : public sim::Persistent {
     gptp::TimeAwareBridge* bridge = nullptr;
     gptp::LinkDelayService* ldl = nullptr;
     time::PhcClock* phc = nullptr;
+    hv::ClockSyncVm* vm = nullptr;
     obs::TraceRing* ring = nullptr;
     std::uint16_t src = 0;
+    std::uint8_t scheduled = 0; ///< edge events arm() put on the queue
+    // Written only on the victim region's shard.
+    std::uint8_t fired = 0; ///< edge events that have fired
+    bool rooted = false;    ///< kKernelExploit obtained root
   };
 
   void apply(std::size_t i, bool enable);
 
   std::vector<ArmedAttack> armed_;
   std::vector<Hook> hooks_;
-  std::size_t scheduled_ = 0; ///< edge events arm() put on the queues
-  std::size_t fired_ = 0;     ///< edge events that have fired
 };
 
 } // namespace tsn::attack

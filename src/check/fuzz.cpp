@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <stdexcept>
 
@@ -104,136 +103,33 @@ FuzzCase derive_case(std::uint64_t master_seed, std::uint64_t index, std::int64_
 }
 
 CaseResult run_case(const FuzzCase& c) {
+  WorldSpec spec;
+  spec.scenario = c.scenario;
+  // Fast-forward is serial-only; serial and partitioned executions of the
+  // same case are verdict-equivalent (partition-determinism suite), so
+  // forcing the serial runtime preserves the case's meaning.
+  if (c.fast_forward) spec.scenario.partitions = 0;
+  spec.attacks = c.attacks;
+  spec.injector = c.injector;
+  spec.replay = c.replay;
+  spec.oracles = true;
+  spec.ff = c.fast_forward;
+  spec.horizon_ns = c.duration_ns;
   CaseResult out;
-  out.index = c.index;
-  out.case_seed = c.scenario.seed;
   try {
-    // Fast-forward is serial-only; serial and partitioned executions of
-    // the same case are verdict-equivalent (partition-determinism suite),
-    // so forcing the serial runtime preserves the case's meaning.
-    experiments::ScenarioConfig scfg = c.scenario;
-    if (c.fast_forward) scfg.partitions = 0;
-    experiments::Scenario scenario(scfg);
-    experiments::ExperimentHarness harness(scenario);
-    harness.bring_up();
+    static_cast<WorldResult&>(out) = run_world(spec);
     out.brought_up = true;
-    const auto cal = harness.calibrate();
-    out.bound_ns = cal.bound.pi_ns;
-
-    InvariantSuite suite(scenario);
-    SuiteParams sp;
-    sp.bound_ns = cal.bound.pi_ns;
-    suite.add_default_invariants(sp);
-
-    // The driver must outlive the run loop: scheduled closures index it.
-    attack::AttackDriver attack_driver;
-    AttackExclusionInvariant* attack_oracle = nullptr;
+    out.bound_ns = out.cal.bound.pi_ns;
     if (!c.attacks.empty()) {
-      attack_driver.arm(scenario, c.attacks);
-      for (const attack::ArmedAttack& a : attack_driver.armed()) {
-        if (!attack::compromises_victim_clock(a.spec.kind)) continue;
-        // The victim GM's own timebase (or its measurement chain) is
-        // compromised: per-node oracles judge only the honest nodes.
-        // The window extends past the attack end because poisoned
-        // measurement state decays, not snaps, back (the NRR ring holds
-        // tampered samples for its whole span and delay smoothing decays
-        // geometrically); after that the exemption re-arms reboot-style
-        // deadlines, so the victim must still re-prove convergence.
-        const std::int64_t until =
-            a.end_abs_ns >= INT64_MAX - sp.reconverge_deadline_ns
-                ? INT64_MAX
-                : a.end_abs_ns + sp.reconverge_deadline_ns;
-        suite.precision_bound()->exempt_source(a.victim_vm, a.start_abs_ns, until);
-        suite.synctime_monotonicity()->exempt_ecd(a.spec.ecd, a.start_abs_ns, until);
-      }
-      std::map<std::string, std::size_t> vm_ecd;
-      for (std::size_t e = 0; e < scenario.num_ecds(); ++e) {
-        for (std::size_t v = 0; v < scenario.ecd(e).vm_count(); ++v) {
-          vm_ecd[scenario.vm(e, v).name()] = e;
-        }
-      }
-      auto oracle = std::make_unique<AttackExclusionInvariant>(
-          attack_driver.armed(),
-          [vm_ecd = std::move(vm_ecd)](const std::string& vm) -> std::optional<std::size_t> {
-            const auto it = vm_ecd.find(vm);
-            if (it == vm_ecd.end()) return std::nullopt;
-            return it->second;
-          },
-          /*eviction_deadline_ns=*/5'000'000'000LL);
-      attack_oracle = oracle.get();
-      suite.add(std::move(oracle));
-    }
-
-    faults::FaultInjector injector(scenario.control_sim(), scenario.ecd_ptrs(), c.injector);
-    if (scenario.partitioned()) {
-      std::vector<std::size_t> regions(scenario.num_ecds());
-      for (std::size_t r = 0; r < regions.size(); ++r) regions[r] = r;
-      injector.set_partitioned(scenario.runtime(), std::move(regions), /*home_region=*/0);
-    }
-    suite.observe(injector);
-    suite.arm();
-    if (!c.replay.empty()) {
-      injector.run(c.replay);
-    } else {
-      injector.start();
-    }
-
-    if (c.fast_forward) {
-      scenario.enable_fast_forward();
-      sim::FfController* ff = scenario.fast_forward();
-      // The suite parks and phase-realigns its poll across windows; the
-      // injector and attack driver are accounting-only participants whose
-      // scheduled edges double as barriers (windows never cross a kill,
-      // reboot or attack edge).
-      ff->add_participant(&suite);
-      ff->add_participant(&injector);
-      ff->add_barrier([&injector](std::int64_t t) { return injector.next_pending_ns(t); });
-      if (!c.attacks.empty()) {
-        ff->add_participant(&attack_driver);
-        ff->add_barrier(
-            [&attack_driver](std::int64_t t) { return attack_driver.next_edge_ns(t); });
-      }
-      ff->set_model_quiescent([&scenario, &suite, &attack_driver] {
-        const std::int64_t now = scenario.sim().now().ns();
-        return scenario.model_quiescent() && suite.ff_quiescent(now) &&
-               !attack_driver.any_active(now);
-      });
-    }
-
-    const std::int64_t end = scenario.now_ns() + c.duration_ns;
-    if (c.fast_forward) {
-      // One shot: chunking would cap every analytic window at the chunk
-      // size. Serial worlds sample through the suite's own periodic poll.
-      scenario.run_to(end);
-    } else {
-      // Chunked so partitioned runs get their oracle sampling ticks at the
-      // stage boundaries (poll_now is a no-op when serial, and a serial
-      // run_until chunked at arbitrary times executes identically).
-      const std::int64_t step = 1'000'000'000;
-      while (scenario.now_ns() < end) {
-        scenario.run_to(std::min(end, scenario.now_ns() + step));
-        suite.poll_now();
-      }
-    }
-    suite.finalize();
-
-    out.summary = suite.summary();
-    out.violations = suite.violations();
-    out.injector_stats = injector.stats();
-    out.events = injector.events();
-    if (attack_oracle) {
-      out.attack_verdicts = attack_oracle->verdicts();
       std::size_t evicted = 0;
-      for (const auto& v : out.attack_verdicts) {
-        if (v.excluded_at_ns) ++evicted;
-      }
+      for (const auto& v : out.attack_verdicts) evicted += v.excluded_at_ns.has_value();
       out.summary += util::format(" attacks=%zu evicted=%zu", out.attack_verdicts.size(), evicted);
     }
-    out.events_executed = scenario.events_executed();
-    if (c.fast_forward) out.ff_stats = scenario.fast_forward()->stats();
   } catch (const std::exception& e) {
     out.summary = util::format("bringup-failed: %s", e.what());
   }
+  out.index = c.index;
+  out.case_seed = c.scenario.seed;
   return out;
 }
 
@@ -453,6 +349,21 @@ FuzzCase replay_from_text(const std::string& text) {
   c.replay.raw = kv.get_bool("replay_raw", false);
   c.fast_forward = kv.get_bool("fast_forward", false);
   kv.reject_unread();
+  // A kill of a VM the world lacks, or an attack on an ECD that hosts no
+  // GM, would silently run nothing.
+  for (const auto& [ordinal, f] : faults) {
+    if (f.ecd >= s.num_ecds || f.vm >= 2) {
+      throw std::runtime_error(util::format("replay: 'fault%zu' names VM %zu of ECD %zu of %zu "
+                                            "ECDs with 2 VMs each",
+                                            ordinal, f.vm, f.ecd, s.num_ecds));
+    }
+  }
+  for (const auto& [ordinal, a] : attacks) {
+    if (a.ecd >= s.domain_count()) {
+      throw std::runtime_error(util::format("replay: 'attack%zu' names ECD %zu, not one of the "
+                                            "%zu GM hosts", ordinal, a.ecd, s.domain_count()));
+    }
+  }
   std::sort(faults.begin(), faults.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   for (auto& [ordinal, f] : faults) c.replay.faults.push_back(f);

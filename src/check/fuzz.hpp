@@ -23,6 +23,7 @@
 #include "attack/attack.hpp"
 #include "check/invariant.hpp"
 #include "check/shrink.hpp"
+#include "check/world.hpp"
 #include "experiments/scenario.hpp"
 #include "faults/injector.hpp"
 
@@ -61,29 +62,19 @@ struct FuzzCase {
 FuzzCase derive_case(std::uint64_t master_seed, std::uint64_t index,
                      std::int64_t duration_ns = 120'000'000'000LL, bool with_attacks = false);
 
-struct CaseResult {
+/// A case's verdict: its world's result plus the case's identity.
+struct CaseResult : WorldResult {
   std::uint64_t index = 0;
   std::uint64_t case_seed = 0; ///< the ScenarioConfig seed actually used
-  bool brought_up = false;     ///< initial synchronization converged
+  bool brought_up = false;     ///< every phase ran (false: summary says what threw)
   double bound_ns = 0.0;       ///< calibrated Pi
-  std::string summary;         ///< InvariantSuite::summary() or "bringup-failed: ..."
-  std::vector<Violation> violations;
-  faults::InjectorStats injector_stats;
-  std::vector<faults::InjectionEvent> events; ///< for schedule extraction
-  /// Per-attack oracle verdicts (empty unless the case carried attacks).
-  std::vector<AttackExclusionInvariant::Verdict> attack_verdicts;
-  /// Executive events the run consumed (world construction through
-  /// finalize); the incremental-shrink benchmark's cost unit.
-  std::uint64_t events_executed = 0;
-  /// Fast-forward telemetry (all-zero when the case ran with ff off).
-  sim::FfStats ff_stats;
 
   bool failed() const { return !brought_up || !violations.empty(); }
 };
 
 /// Build the world described by `c`, run it with the invariant suite
-/// attached, and return the verdict. Never throws: construction or
-/// bring-up errors are reported as a failed result.
+/// attached (check::run_world), and return the verdict. Never throws: a
+/// world that throws in any phase is reported as a failed result.
 CaseResult run_case(const FuzzCase& c);
 
 struct CampaignConfig {

@@ -37,7 +37,7 @@ void ExperimentHarness::wire_event_recording() {
   }
 }
 
-EventLog& ExperimentHarness::events() {
+const EventLog& ExperimentHarness::events() {
   if (!scenario_.partitioned()) return logs_[0];
   // Rebuild the merged view: (time, region, in-region order) is a total
   // order identical for every partition count and thread schedule.

@@ -41,8 +41,8 @@ class ExperimentHarness {
   /// The experiment event log. Partitioned scenarios record into one log
   /// per region (each only ever touched by its region's shard) and this
   /// accessor merges them by (time, region) on demand; serial scenarios
-  /// return the single live log directly.
-  EventLog& events();
+  /// return the single live log directly. Record through region_log().
+  const EventLog& events();
   /// The live log of region `region` (the one log when serial). Only code
   /// running on that region's shard may record into it.
   EventLog& region_log(std::size_t region) { return logs_.at(region); }

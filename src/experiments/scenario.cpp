@@ -50,7 +50,7 @@ Scenario::Scenario(const ScenarioConfig& cfg)
   if (cfg_.num_ecds < 2 || cfg_.gm_kernels.empty()) {
     throw std::invalid_argument("Scenario: need >= 2 ECDs and GM kernels");
   }
-  if (domain_count() < 2 || domain_count() > cfg_.num_ecds) {
+  if (cfg_.domain_count() < 2 || cfg_.domain_count() > cfg_.num_ecds) {
     throw std::invalid_argument("Scenario: need 2 <= num_domains <= num_ecds");
   }
   if (cfg_.partitions > 0) {
@@ -74,12 +74,11 @@ Scenario::Scenario(const ScenarioConfig& cfg)
   build_probe();
 }
 
-std::size_t Scenario::domain_count() const {
+std::size_t ScenarioConfig::domain_count() const {
   // Default: one domain per ECD, capped at the STSHMEM slot count so that
   // scaled-up topologies (num_ecds > kMaxDomains) work without an explicit
   // num_domains=.
-  return cfg_.num_domains == 0 ? std::min(cfg_.num_ecds, core::kMaxDomains)
-                               : cfg_.num_domains;
+  return num_domains == 0 ? std::min(num_ecds, core::kMaxDomains) : num_domains;
 }
 
 sim::Simulation& Scenario::sim_for(std::size_t ecd_idx) {
@@ -161,7 +160,7 @@ void Scenario::build_ecds() {
   tsc_model.timestamp_jitter_ns = 0.0;
 
   util::RngStream phase_rng = sim_.make_rng("initial-phase");
-  const std::size_t domains = domain_count();
+  const std::size_t domains = cfg_.domain_count();
 
   for (std::size_t x = 0; x < cfg_.num_ecds; ++x) {
     PoolScope pool(runtime_ ? pools_[x].get() : nullptr);
@@ -271,7 +270,7 @@ void Scenario::build_network() {
 }
 
 void Scenario::build_bridges() {
-  const std::size_t domains = domain_count();
+  const std::size_t domains = cfg_.domain_count();
   for (std::size_t x = 0; x < cfg_.num_ecds; ++x) {
     PoolScope pool(runtime_ ? pools_[x].get() : nullptr);
     gptp::BridgeConfig bcfg;
@@ -603,7 +602,7 @@ void Scenario::analytic_prepare(std::int64_t park_ns) {
   // Ensemble members: the running domain GMs (domain d+1 is rooted at
   // vm(d, 0)); a down GM's domain is exactly what the validity layer
   // would flag stale under event simulation.
-  for (std::size_t d = 0; d < domain_count(); ++d) {
+  for (std::size_t d = 0; d < cfg_.domain_count(); ++d) {
     hv::ClockSyncVm& v = gm_vm(d);
     if (v.running()) ff_pull_.ensemble.push_back(&v.nic().phc());
   }

@@ -56,6 +56,9 @@ struct ScenarioConfig {
   TopologyKind topology = TopologyKind::kMesh;
   /// gPTP domains (and mutually-synchronizing GMs); 0 = one per ECD.
   std::size_t num_domains = 0;
+  /// num_domains, or one per ECD up to the STSHMEM slot count; domain
+  /// d's GM is VM 0 of ECD d.
+  std::size_t domain_count() const;
   /// Partitioned execution: worker shards for the conservative-parallel
   /// runtime; 0 = legacy serial event loop.
   std::size_t partitions = 0;
@@ -141,8 +144,6 @@ class Scenario {
 
   std::size_t num_ecds() const { return ecds_.size(); }
   const Topology& topology() const { return topo_; }
-  /// gPTP domains in this world (== num_ecds unless num_domains caps it).
-  std::size_t domain_count() const;
   hv::Ecd& ecd(std::size_t x) { return *ecds_.at(x); }
   hv::ClockSyncVm& vm(std::size_t ecd_idx, std::size_t vm_idx) {
     return ecds_.at(ecd_idx)->vm(vm_idx);

@@ -54,7 +54,6 @@ bool FaultInjector::peer_running(std::size_t ecd_idx, std::size_t vm_idx) const 
 
 void FaultInjector::notify(const InjectionEvent& ev) {
   events_.push_back(ev);
-  if (on_event) on_event(ev);
   for (auto& listener : listeners_) listener(ev);
 }
 

@@ -117,9 +117,8 @@ class FaultInjector : public sim::Persistent {
 
   const InjectorStats& stats() const { return stats_; }
   const std::vector<InjectionEvent>& events() const { return events_; }
-  std::function<void(const InjectionEvent&)> on_event;
-  /// Additional observers (the invariant suite subscribes here without
-  /// clobbering an experiment's own on_event hook).
+  /// Observers of every kill and reboot, called in subscription order on
+  /// the home region's shard.
   void add_listener(std::function<void(const InjectionEvent&)> fn) {
     listeners_.push_back(std::move(fn));
   }

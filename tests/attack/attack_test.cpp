@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "check/fuzz.hpp"
+#include "experiments/scenario.hpp"
 
 namespace tsn::attack {
 namespace {
@@ -69,6 +70,82 @@ TEST(AttackReplayTest, RoundTripsLosslessly) {
   for (std::size_t i = 0; i < c.attacks.size(); ++i) {
     EXPECT_EQ(parsed.attacks[i], c.attacks[i]) << "attack " << i;
   }
+}
+
+/// The paper's exploit (sec. III-B) on ECD 0's GM VM 1 s after a cold
+/// start, on `kernel`, with that VM shut down first when `gm_down`.
+struct ExploitOutcome {
+  std::size_t attempted = 0;
+  std::size_t rooted = 0;
+  bool compromised = false;
+  std::vector<bool> reported; ///< on_exploit's verdicts
+};
+
+ExploitOutcome exploit_gm0(const std::string& kernel, bool gm_down) {
+  experiments::ScenarioConfig cfg;
+  cfg.gm_kernels = {kernel, "4.19.1", "4.19.1", "4.19.1"};
+  experiments::Scenario scenario(cfg);
+  scenario.start();
+  if (gm_down) scenario.gm_vm(0).shutdown();
+  ExploitOutcome out;
+  AttackDriver driver;
+  driver.on_exploit = [&](const ArmedAttack& a, bool rooted) {
+    EXPECT_EQ(a.victim_vm, scenario.gm_vm(0).name());
+    out.reported.push_back(rooted);
+  };
+  driver.arm(scenario, {{.kind = AttackKind::kKernelExploit,
+                         .ecd = 0,
+                         .start_ns = kSec,
+                         .magnitude = -24'000.0}});
+  scenario.run_to(2 * kSec);
+  out.attempted = driver.exploits_attempted();
+  out.rooted = driver.exploits_rooted();
+  out.compromised = scenario.gm_vm(0).compromised();
+  return out;
+}
+
+TEST(KernelExploitTest, RootsARunningGmOnVulnerableKernel) {
+  const ExploitOutcome o = exploit_gm0("4.19.1", /*gm_down=*/false);
+  EXPECT_EQ(o.attempted, 1u);
+  EXPECT_EQ(o.rooted, 1u);
+  EXPECT_TRUE(o.compromised);
+  EXPECT_EQ(o.reported, std::vector<bool>{true});
+}
+
+TEST(KernelExploitTest, FailsOnPatchedKernel) {
+  const ExploitOutcome o = exploit_gm0("4.19.2", /*gm_down=*/false);
+  EXPECT_EQ(o.attempted, 1u);
+  EXPECT_EQ(o.rooted, 0u);
+  EXPECT_FALSE(o.compromised);
+  EXPECT_EQ(o.reported, std::vector<bool>{false});
+}
+
+TEST(KernelExploitTest, FailsOnDeadVm) {
+  const ExploitOutcome o = exploit_gm0("4.19.1", /*gm_down=*/true);
+  EXPECT_EQ(o.attempted, 1u);
+  EXPECT_EQ(o.rooted, 0u);
+  EXPECT_FALSE(o.compromised);
+}
+
+TEST(KernelExploitTest, ReplayLineRoundTripsAndRuns) {
+  check::FuzzCase c = check::derive_case(11, 1, 30 * kSec);
+  c.replay.faults.push_back({25 * kSec + 1, c.scenario.num_ecds - 1, 1, 2 * kSec});
+  c.attacks.push_back({.kind = AttackKind::kKernelExploit,
+                       .ecd = 1,
+                       .start_ns = 5 * kSec + 1,
+                       .magnitude = -24'000.0,
+                       .expect_excluded = true});
+  const std::string text = check::replay_to_text(c);
+  EXPECT_NE(text.find("attack0=kernel_exploit,1,5000000001,0,-24000,0,1\n"), std::string::npos);
+  const check::FuzzCase parsed = check::replay_from_text(text);
+  ASSERT_EQ(parsed.attacks.size(), 1u);
+  EXPECT_EQ(parsed.attacks[0], c.attacks[0]);
+
+  // The rooted GM's domain is evicted and the honest nodes stay bounded.
+  const check::CaseResult r = check::run_case(parsed);
+  EXPECT_FALSE(r.failed()) << r.summary;
+  ASSERT_EQ(r.attack_verdicts.size(), 1u);
+  EXPECT_TRUE(r.attack_verdicts[0].excluded_at_ns.has_value());
 }
 
 TEST(AttackOracleTest, OvertCorrectionFieldAttackIsEvicted) {

@@ -2,9 +2,9 @@
 // clock synchronization VMs, bridges, measurement VLAN and probe.
 #include <gtest/gtest.h>
 
+#include "attack/attack.hpp"
 #include "experiments/harness.hpp"
 #include "experiments/report.hpp"
-#include "faults/attacker.hpp"
 #include "faults/injector.hpp"
 
 namespace tsn::experiments {
@@ -89,13 +89,19 @@ TEST(FullSystemTest, KernelDiversityBlocksSecondExploit) {
   harness.bring_up();
   const auto cal = harness.calibrate();
 
-  faults::Attacker attacker(scenario.sim(), faults::KernelVulnDb::with_defaults());
-  attacker.add_step({scenario.sim().now().ns() + 10_s, &scenario.gm_vm(0)});
-  attacker.add_step({scenario.sim().now().ns() + 30_s, &scenario.gm_vm(1)});
-  attacker.start();
+  attack::AttackDriver attacker;
+  attacker.arm(scenario, {{.kind = attack::AttackKind::kKernelExploit,
+                           .ecd = 0,
+                           .start_ns = 10_s,
+                           .magnitude = -24'000.0},
+                          {.kind = attack::AttackKind::kKernelExploit,
+                           .ecd = 1,
+                           .start_ns = 30_s,
+                           .magnitude = -24'000.0}});
   harness.run_measured(3_min);
 
-  EXPECT_EQ(attacker.successful_exploits(), 1u);
+  EXPECT_EQ(attacker.exploits_attempted(), 2u);
+  EXPECT_EQ(attacker.exploits_rooted(), 1u);
   EXPECT_TRUE(scenario.gm_vm(0).compromised());
   EXPECT_FALSE(scenario.gm_vm(1).compromised());
   EXPECT_DOUBLE_EQ(

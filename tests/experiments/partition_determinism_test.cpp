@@ -12,10 +12,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "check/invariant.hpp"
+#include "check/world.hpp"
 #include "experiments/harness.hpp"
 #include "faults/injector.hpp"
 #include "sweep/sweep_runner.hpp"
@@ -143,6 +146,61 @@ TEST(PartitionDeterminism, Scale64TreeByteIdentical) {
   experiments::ScenarioConfig cfg = base;
   cfg.partitions = 8;
   EXPECT_EQ(run_fingerprint(cfg, 1'000'000'000LL, false), p1);
+}
+
+/// A tsnfta_sim-style exploit world through check::run_world with pcap
+/// capture: two kernel exploits and two timer-skew attacks whose edges
+/// fire at one instant on four regions. Serializes the Pi* series, the
+/// event log and the capture file.
+std::string exploit_world_fingerprint(std::size_t partitions, const std::string& pcap) {
+  check::WorldSpec spec;
+  spec.scenario.seed = 5;
+  spec.scenario.partitions = partitions;
+  spec.rounds = 5;
+  spec.probe = true;
+  spec.horizon_ns = 20'000'000'000LL;
+  spec.pcap = pcap;
+  const std::int64_t at = 5'000'000'001LL;
+  for (const std::size_t ecd : {1u, 3u}) {
+    spec.attacks.push_back({.kind = attack::AttackKind::kKernelExploit,
+                            .ecd = ecd,
+                            .start_ns = at,
+                            .magnitude = -24'000.0});
+  }
+  for (const std::size_t ecd : {0u, 2u}) {
+    spec.attacks.push_back({.kind = attack::AttackKind::kTimerSkew,
+                            .ecd = ecd,
+                            .start_ns = at,
+                            .duration_ns = 4'000'000'000LL,
+                            .magnitude = 3.0});
+  }
+  const check::WorldResult r = check::run_world(spec);
+  std::string fp = util::format("rooted %zu of %zu, %llu frames\n", r.exploits_rooted,
+                                r.exploits_attempted, (unsigned long long)r.pcap_frames);
+  for (const auto& p : r.series.points()) {
+    fp += util::format("pi* %lld %.17g\n", (long long)p.t_ns, p.value);
+  }
+  for (const auto& e : r.log.events()) {
+    fp += util::format("ev %lld %s %s %s\n", (long long)e.t_ns, experiments::to_string(e.kind),
+                       e.subject.c_str(), e.detail.c_str());
+  }
+  std::ifstream in(pcap, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return fp + bytes.str();
+}
+
+TEST(PartitionDeterminism, ExploitWorldSeriesEventsAndPcapIdentical) {
+  // Exploits and pcap capture run on partitioned worlds; same-time attack
+  // edges on different shards must not race on the driver's bookkeeping.
+  const std::string dir = ::testing::TempDir();
+  const std::string p1 = exploit_world_fingerprint(1, dir + "exploit_p1.pcap");
+  EXPECT_NE(p1.find("rooted 2 of 2"), std::string::npos) << p1.substr(0, 64);
+  EXPECT_NE(p1.find("root obtained"), std::string::npos);
+  for (const std::size_t p : {2u, 4u}) {
+    EXPECT_EQ(exploit_world_fingerprint(p, util::format("%sexploit_p%zu.pcap", dir.c_str(), p)), p1)
+        << "partitions=" << p;
+  }
 }
 
 } // namespace

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "faults/attacker.hpp"
 #include "faults/injector.hpp"
 #include "faults/kernel_vuln.hpp"
 #include "hv/ecd.hpp"
@@ -45,53 +44,6 @@ hv::ClockSyncVmConfig vm_cfg(const std::string& name, std::uint64_t mac,
   cfg.kernel_version = kernel;
   if (gm) cfg.gm_domain = 1;
   return cfg;
-}
-
-struct HostFixture {
-  Simulation sim{7};
-  hv::Ecd ecd;
-
-  HostFixture() : ecd(sim, {"ecd", quiet(), {}}) {
-    ecd.add_clock_sync_vm(vm_cfg("gm-vuln", 0xA1, "4.19.1", true));
-    ecd.add_clock_sync_vm(vm_cfg("standby-safe", 0xA2, "5.10.0", false));
-    ecd.start();
-  }
-};
-
-TEST(AttackerTest, ExploitSucceedsOnVulnerableKernel) {
-  HostFixture f;
-  Attacker attacker(f.sim, KernelVulnDb::with_defaults());
-  attacker.add_step({1_s, &f.ecd.vm(0)});
-  int attempts = 0;
-  attacker.on_attempt = [&](const AttackResult& r) {
-    ++attempts;
-    EXPECT_TRUE(r.success);
-  };
-  attacker.start();
-  f.sim.run_until(SimTime(2_s));
-  EXPECT_EQ(attempts, 1);
-  EXPECT_EQ(attacker.successful_exploits(), 1u);
-  EXPECT_TRUE(f.ecd.vm(0).compromised());
-}
-
-TEST(AttackerTest, ExploitFailsOnPatchedKernel) {
-  HostFixture f;
-  Attacker attacker(f.sim, KernelVulnDb::with_defaults());
-  attacker.add_step({1_s, &f.ecd.vm(1)});
-  attacker.start();
-  f.sim.run_until(SimTime(2_s));
-  EXPECT_EQ(attacker.successful_exploits(), 0u);
-  EXPECT_FALSE(f.ecd.vm(1).compromised());
-}
-
-TEST(AttackerTest, ExploitFailsOnDeadVm) {
-  HostFixture f;
-  f.sim.at(SimTime(500'000'000), [&] { f.ecd.vm(0).shutdown(); });
-  Attacker attacker(f.sim, KernelVulnDb::with_defaults());
-  attacker.add_step({1_s, &f.ecd.vm(0)});
-  attacker.start();
-  f.sim.run_until(SimTime(2_s));
-  EXPECT_EQ(attacker.successful_exploits(), 0u);
 }
 
 TEST(InjectorTest, NeverKillsBothVmsOfANode) {

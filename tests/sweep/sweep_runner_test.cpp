@@ -142,12 +142,12 @@ Fig4bReplica run_fig4b_replica(const experiments::ScenarioConfig& cfg) {
   icfg.standby_downtime_ns = 30_s;
   faults::FaultInjector injector(scenario.sim(), scenario.ecd_ptrs(), icfg);
   injector.spare(&scenario.measurement_vm());
-  injector.on_event = [&](const faults::InjectionEvent& ev) {
-    harness.events().record(ev.at_ns,
-                            ev.is_reboot ? experiments::EventKind::kVmReboot
-                                         : experiments::EventKind::kVmFailure,
-                            ev.vm, ev.was_gm ? "gm" : "standby");
-  };
+  injector.add_listener([&](const faults::InjectionEvent& ev) {
+    harness.region_log(0).record(ev.at_ns,
+                                 ev.is_reboot ? experiments::EventKind::kVmReboot
+                                              : experiments::EventKind::kVmFailure,
+                                 ev.vm, ev.was_gm ? "gm" : "standby");
+  });
   injector.start();
   harness.run_measured(60_s);
   return {scenario.probe().series(), harness.events()};

@@ -1,8 +1,7 @@
 // tsnfta_sim: the one driver of the paper's virtualized TSN testbed. A
 // custom world from the command line and every experiment of DESIGN.md §4
-// that builds a Scenario run the same phase sequence per replica:
-// bring-up, calibration, exploits, fault injector, fast-forward, pcap,
-// measured run and harvest (run_world below).
+// that builds a Scenario fill one check::WorldSpec per replica; the
+// phases themselves are check::run_world's.
 //
 // The paper's evaluation, one row of kExperiments each; the exit code is
 // the row's shape check:
@@ -42,27 +41,22 @@
 //   output     log bucket_s csv events_csv pcap manifest (manifest=none writes none)
 //
 // partitions=N runs the conservative-parallel runtime with N worker
-// shards (results identical for every N >= 1); exploits, pcap= and ff=1
-// hook the serial event loop and are rejected with it. ff=1 (DESIGN.md
-// §12) advances quiescent stretches of the measured phase analytically;
-// fault-injector edges are barriers the windows never cross, while
-// exploit steps keep the event queue busy and the windows shut. seeds=N
-// runs N replicas (seed, seed+1, ...) of every variant on threads=
-// workers (0 = hardware concurrency); the merged output is identical for
-// any threads=. pcap captures the first replica only.
+// shards (results identical for every N >= 1); ff=1 runs on the serial
+// event loop and is rejected with it. ff=1 (DESIGN.md §12) advances
+// quiescent stretches of the measured phase analytically; fault-injector
+// and exploit edges are barriers the windows never cross, and a rooted GM
+// keeps them shut for the rest of the run. seeds=N runs N replicas (seed,
+// seed+1, ...) of every variant on threads= workers (0 = hardware
+// concurrency); the merged output is identical for any threads=. pcap
+// captures the first replica only.
 #include <algorithm>
 #include <cstdio>
-#include <memory>
-#include <numeric>
-#include <optional>
+#include <functional>
+#include <type_traits>
 
-#include "experiments/harness.hpp"
+#include "check/world.hpp"
 #include "experiments/report.hpp"
-#include "faults/attacker.hpp"
-#include "faults/injector.hpp"
-#include "net/pcap.hpp"
 #include "obs/manifest.hpp"
-#include "sim/fast_forward.hpp"
 #include "sweep/sweep_runner.hpp"
 #include "util/config.hpp"
 #include "util/log.hpp"
@@ -78,25 +72,13 @@ constexpr std::int64_t kMinute = 60 * kSecond;
 
 // ---- options ---------------------------------------------------------------
 
-/// An attack_at= / attack2_at= exploit attempt on the GM VM of ECD `gm`.
-struct Exploit {
-  std::int64_t after_ns; ///< after calibration
-  std::size_t gm;
-};
-
 /// Every option besides the world's, read before any world runs.
 struct Options {
-  std::int64_t horizon_ns = 0;
-  int rounds = 0;
-  std::vector<Exploit> exploits;
-  bool inject_faults = false;
-  faults::InjectorConfig injector;
-  gptp::InstanceFaultModel fault_model;
-  bool ff = false;
+  check::WorldSpec world; ///< every replica's phases; run() fills in its scenario
   std::size_t seeds = 1;
   std::size_t threads = 0;
   std::int64_t bucket_ns = 0;
-  std::string csv, events_csv, pcap, manifest;
+  std::string csv, events_csv, manifest;
 };
 
 core::AggregationMethod parse_method(const std::string& name) {
@@ -131,18 +113,26 @@ experiments::ScenarioConfig read_world(const util::Config& cli) {
 Options read_options(const util::Config& cli, const experiments::ScenarioConfig& world,
                      const std::string& default_manifest) {
   Options o;
-  o.horizon_ns = util::parse_duration_ns(cli.get_string("horizon", "10m"));
-  o.rounds = static_cast<int>(cli.get_int_at_least("rounds", 40, 1));
+  check::WorldSpec& w = o.world;
+  w.horizon_ns = util::parse_duration_ns(cli.get_string("horizon", "10m"));
+  w.rounds = static_cast<int>(cli.get_int_at_least("rounds", 40, 1));
+  w.probe = true;
   for (const std::string prefix : {"attack", "attack2"}) {
     if (!cli.has(prefix + "_at")) continue;
-    const Exploit e{util::parse_duration_ns(cli.get_string(prefix + "_at")),
-                    static_cast<std::size_t>(cli.get_int_at_least(prefix + "_gm", 0, 0))};
-    if (e.gm >= world.num_ecds) throw std::invalid_argument(prefix + "_gm= names no ECD");
-    o.exploits.push_back(e);
+    const std::int64_t at_ns = util::parse_duration_ns(cli.get_string(prefix + "_at"));
+    const auto gm = static_cast<std::size_t>(cli.get_int_at_least(prefix + "_gm", 0, 0));
+    if (gm >= world.domain_count()) {
+      throw std::invalid_argument(util::format("%s_gm=%zu names no GM: the world has %zu domains",
+                                               prefix.c_str(), gm, world.domain_count()));
+    }
+    // The paper's exploit: root on a vulnerable kernel, then -24 us pOTs.
+    w.attacks.push_back({.kind = attack::AttackKind::kKernelExploit,
+                         .ecd = gm,
+                         .start_ns = at_ns,
+                         .magnitude = -24'000.0});
   }
-  o.inject_faults = cli.get_bool("inject_faults", false);
-  if (o.inject_faults) {
-    faults::InjectorConfig& icfg = o.injector;
+  if (cli.get_bool("inject_faults", false)) {
+    faults::InjectorConfig& icfg = w.injector.emplace();
     icfg.gm_kill_period_ns = cli.get_int_at_least("gm_kill_period_min", 30, 1) * kMinute;
     icfg.gm_downtime_ns =
         cli.get_int_at_least("gm_downtime_s", icfg.gm_downtime_ns / kSecond, 0) * kSecond;
@@ -151,131 +141,32 @@ Options read_options(const util::Config& cli, const experiments::ScenarioConfig&
     icfg.standby_downtime_ns =
         cli.get_int_at_least("standby_downtime_s", icfg.standby_downtime_ns / kSecond, 0) * kSecond;
   }
-  o.fault_model.p_tx_timestamp_timeout = cli.get_double("p_tx_timeout", 0.0);
-  o.fault_model.p_late_launch = cli.get_double("p_late_launch", 0.0);
-  o.ff = cli.get_bool("ff", false);
+  w.fault_model.p_tx_timestamp_timeout = cli.get_double("p_tx_timeout", 0.0);
+  w.fault_model.p_late_launch = cli.get_double("p_late_launch", 0.0);
+  w.ff = cli.get_bool("ff", false);
   o.seeds = static_cast<std::size_t>(cli.get_int_at_least("seeds", 1, 1));
   o.threads = static_cast<std::size_t>(cli.get_int_at_least("threads", 0, 0));
   o.bucket_ns = cli.get_int_at_least("bucket_s", 120, 1) * kSecond;
   o.csv = cli.get_string("csv");
   o.events_csv = cli.get_string("events_csv");
-  o.pcap = cli.get_string("pcap");
+  w.pcap = cli.get_string("pcap");
   o.manifest = cli.get_string("manifest", default_manifest);
-  if (world.partitions > 0 && (!o.exploits.empty() || !o.pcap.empty() || o.ff)) {
-    throw std::invalid_argument(
-        "exploits, pcap= and ff=1 hook the serial event loop; drop them or partitions=");
+  if (world.partitions > 0 && w.ff) {
+    throw std::invalid_argument("ff=1 runs on the serial event loop; drop it or partitions=");
   }
   return o;
 }
 
-// ---- one world -------------------------------------------------------------
+using check::WorldResult;
 
-/// What one world leaves behind.
-struct Replica {
-  experiments::ExperimentHarness::Calibration cal;
-  std::int64_t t0_ns = 0; ///< end of calibration; exploit times count from here
-  util::TimeSeries series;
-  experiments::EventLog events;
-  double holds = 1.0; ///< eq. (3.3) against this replica's own bound
-  std::uint64_t kills = 0;
-  std::uint64_t gm_kills = 0;
-  std::uint64_t tx_timeouts = 0;
-  std::uint64_t deadline_misses = 0;
-  std::size_t takeovers = 0;
-  std::size_t attempts = 0;
-  std::size_t exploits = 0;
-  std::uint64_t pcap_frames = 0;
-  sim::FfStats ff;
-  double gm_disagreement_ns = 0;
-  obs::MetricsSnapshot metrics;
-};
-
-Replica run_world(const experiments::ScenarioConfig& cfg, const Options& o, bool first) {
-  experiments::Scenario scenario(cfg);
-  experiments::ExperimentHarness harness(scenario);
-  for (std::size_t x = 0; x < scenario.num_ecds(); ++x) {
-    for (std::size_t i = 0; i < 2; ++i) scenario.vm(x, i).set_fault_model(o.fault_model);
-  }
-
-  std::unique_ptr<net::PcapTracer> pcap;
-  if (first && !o.pcap.empty()) {
-    pcap = std::make_unique<net::PcapTracer>(scenario.sim(), o.pcap);
-    pcap->attach(scenario.measurement_vm().nic().port());
-  }
-
-  Replica out;
-  harness.bring_up(240 * kSecond);
-  out.cal = harness.calibrate(o.rounds);
-  out.t0_ns = scenario.now_ns();
-
-  std::optional<faults::Attacker> attacker;
-  if (!o.exploits.empty()) {
-    attacker.emplace(scenario.sim(), faults::KernelVulnDb::with_defaults());
-    for (const Exploit& e : o.exploits) {
-      attacker->add_step({out.t0_ns + e.after_ns, &scenario.gm_vm(e.gm)});
-    }
-    attacker->on_attempt = [&](const faults::AttackResult& r) {
-      harness.events().record(scenario.now_ns(), experiments::EventKind::kAttack,
-                              r.step.target->name(), r.success ? "root obtained" : "failed");
-    };
-    attacker->start();
-  }
-
-  std::unique_ptr<faults::FaultInjector> injector;
-  if (o.inject_faults) {
-    injector = std::make_unique<faults::FaultInjector>(scenario.control_sim(),
-                                                       scenario.ecd_ptrs(), o.injector);
-    if (scenario.partitioned()) {
-      std::vector<std::size_t> regions(scenario.num_ecds());
-      std::iota(regions.begin(), regions.end(), std::size_t{0});
-      injector->set_partitioned(scenario.runtime(), std::move(regions), /*home_region=*/0);
-    }
-    // Kill and reboot marks (Fig. 5) go to the log of the injector's home
-    // region, on whose shard its listeners run.
-    injector->on_event = [&log = harness.region_log(0)](const faults::InjectionEvent& ev) {
-      log.record(ev.at_ns,
-                 ev.is_reboot ? experiments::EventKind::kVmReboot
-                              : experiments::EventKind::kVmFailure,
-                 ev.vm, ev.was_gm ? "gm" : "standby");
-    };
-    injector->spare(&scenario.measurement_vm());
-    injector->start();
-  }
-
-  if (o.ff) {
-    scenario.enable_fast_forward();
-    if (injector) {
-      sim::FfController* ff = scenario.fast_forward();
-      ff->add_participant(injector.get());
-      ff->add_barrier([inj = injector.get()](std::int64_t t) { return inj->next_pending_ns(t); });
-    }
-  }
-
-  if (o.horizon_ns > 0) harness.run_measured(o.horizon_ns);
-
-  out.series = scenario.probe().series();
-  out.events = harness.events();
-  out.holds = experiments::bound_holding_fraction(out.series, out.cal.bound.pi_ns,
-                                                  out.cal.gamma_ns);
-  if (injector) {
-    out.kills = injector->stats().total_kills;
-    out.gm_kills = injector->stats().gm_kills;
-  }
-  out.tx_timeouts = harness.total_tx_timestamp_timeouts();
-  out.deadline_misses = harness.total_deadline_misses();
-  out.takeovers = out.events.count(experiments::EventKind::kTakeover);
-  if (attacker) {
-    out.attempts = attacker->results().size();
-    out.exploits = attacker->successful_exploits();
-  }
-  if (pcap) {
-    pcap->flush();
-    out.pcap_frames = pcap->frames_written();
-  }
-  if (scenario.fast_forward()) out.ff = scenario.fast_forward()->stats();
-  out.metrics = scenario.metrics_snapshot();
-  out.gm_disagreement_ns = scenario.gm_clock_disagreement_ns();
-  return out;
+/// eq. (3.3) against the replica's own bound.
+double holds(const WorldResult& r) {
+  return experiments::bound_holding_fraction(r.series, r.cal.bound.pi_ns, r.cal.gamma_ns);
+}
+std::uint64_t kill_count(const WorldResult& r) { return r.injector_stats.total_kills; }
+std::uint64_t gm_kill_count(const WorldResult& r) { return r.injector_stats.gm_kills; }
+std::size_t takeover_count(const WorldResult& r) {
+  return r.log.count(experiments::EventKind::kTakeover);
 }
 
 // ---- reports ---------------------------------------------------------------
@@ -284,20 +175,21 @@ Replica run_world(const experiments::ScenarioConfig& cfg, const Options& o, bool
 struct Group {
   const char* label = nullptr;
   experiments::ScenarioConfig cfg; ///< the first replica's world
-  std::vector<Replica> replicas;
+  std::vector<WorldResult> replicas;
   util::TimeSeries series;
   double holds = 1.0; ///< sample-weighted over the replicas
 
-  const Replica& first() const { return replicas.front(); }
-  template <typename T>
-  T sum(T Replica::*field) const {
-    T total{};
-    for (const Replica& r : replicas) total += r.*field;
+  const WorldResult& first() const { return replicas.front(); }
+  /// Sum of a field or a reading over the replicas.
+  template <typename F>
+  auto sum(F field) const {
+    std::remove_cvref_t<std::invoke_result_t<F, const WorldResult&>> total{};
+    for (const WorldResult& r : replicas) total += std::invoke(field, r);
     return total;
   }
   experiments::EventLog events() const {
     std::vector<experiments::EventLog> logs;
-    for (const Replica& r : replicas) logs.push_back(r.events);
+    for (const WorldResult& r : replicas) logs.push_back(r.log);
     return sweep::merge_event_logs(logs);
   }
 };
@@ -312,28 +204,29 @@ struct Run {
 
 int report_custom(Run& run) {
   const Group& g = run.groups.front();
-  const Replica& first = g.first();
+  const WorldResult& first = g.first();
   const Options& o = run.opt;
   std::printf("initial synchronization complete at t=%s; Pi=%.2f us, gamma=%.2f us\n",
               util::hms(first.t0_ns).c_str(), first.cal.bound.pi_ns / 1000.0,
               first.cal.gamma_ns / 1000.0);
   experiments::print_precision_series(g.series, first.cal.bound.pi_ns, first.cal.gamma_ns,
                                       o.bucket_ns);
-  if (o.inject_faults) {
+  if (o.world.injector) {
     std::printf("\nfault injection: %llu kills (%llu GM), %zu takeovers\n",
-                (unsigned long long)g.sum(&Replica::kills),
-                (unsigned long long)g.sum(&Replica::gm_kills), g.sum(&Replica::takeovers));
+                (unsigned long long)g.sum(kill_count), (unsigned long long)g.sum(gm_kill_count),
+                g.sum(takeover_count));
   }
-  if (!o.exploits.empty()) {
-    std::printf("attacks: %zu attempted, %zu succeeded\n", g.sum(&Replica::attempts),
-                g.sum(&Replica::exploits));
+  if (!o.world.attacks.empty()) {
+    std::printf("attacks: %zu attempted, %zu succeeded\n", g.sum(&WorldResult::exploits_attempted),
+                g.sum(&WorldResult::exploits_rooted));
   }
-  if (o.ff) {
+  if (o.world.ff) {
     std::printf("fast-forward: %llu windows skipped %s of %s (%.1f%%)\n",
-                (unsigned long long)first.ff.windows, util::human_ns(first.ff.skipped_ns).c_str(),
-                util::human_ns(o.horizon_ns).c_str(),
-                100.0 * static_cast<double>(first.ff.skipped_ns) /
-                    static_cast<double>(std::max<std::int64_t>(o.horizon_ns, 1)));
+                (unsigned long long)first.ff_stats.windows,
+                util::human_ns(first.ff_stats.skipped_ns).c_str(),
+                util::human_ns(o.world.horizon_ns).c_str(),
+                100.0 * static_cast<double>(first.ff_stats.skipped_ns) /
+                    static_cast<double>(std::max<std::int64_t>(o.world.horizon_ns, 1)));
   }
   if (!o.csv.empty()) {
     experiments::dump_series_csv(g.series, o.csv);
@@ -343,13 +236,15 @@ int report_custom(Run& run) {
     experiments::dump_events_csv(g.events(), o.events_csv);
     std::printf("events written to %s\n", o.events_csv.c_str());
   }
-  if (!o.pcap.empty()) {
-    std::printf("pcap: %llu frames captured\n", (unsigned long long)g.sum(&Replica::pcap_frames));
+  if (!o.world.pcap.empty()) {
+    std::printf("pcap: %llu frames captured\n",
+                (unsigned long long)g.sum(&WorldResult::pcap_frames));
   }
   std::printf("\nprecision bound held for %.2f%% of samples\n", 100.0 * g.holds);
   run.manifest.extra["bound_held_fraction"] = util::format("%.6f", g.holds);
-  run.manifest.extra["takeovers"] = std::to_string(g.sum(&Replica::takeovers));
-  run.manifest.extra["attacks_attempted"] = std::to_string(g.sum(&Replica::attempts));
+  run.manifest.extra["takeovers"] = std::to_string(g.sum(takeover_count));
+  run.manifest.extra["attacks_attempted"] =
+      std::to_string(g.sum(&WorldResult::exploits_attempted));
   return 0;
 }
 
@@ -359,9 +254,9 @@ struct AttackShape {
   bool violated = false;
 };
 
-AttackShape attack_shape(const Replica& r, const Options& o) {
+AttackShape attack_shape(const WorldResult& r, const Options& o) {
   std::int64_t last = 0;
-  for (const Exploit& e : o.exploits) last = std::max(last, e.after_ns);
+  for (const attack::AttackSpec& e : o.world.attacks) last = std::max(last, e.start_ns);
   AttackShape s;
   for (const auto& p : r.series.points()) {
     const bool exceeds = p.value - r.cal.gamma_ns > r.cal.bound.pi_ns;
@@ -379,14 +274,14 @@ AttackShape attack_shape(const Replica& r, const Options& o) {
 /// §4); with diverse kernels the second exploit fails and the bound holds.
 int report_attack(Run& run, bool identical) {
   const Group& g = run.groups.front();
-  const Replica& first = g.first();
+  const WorldResult& first = g.first();
   const std::size_t n = g.replicas.size();
   std::size_t masked = 0, violated = 0, held = 0;
-  for (const Replica& r : g.replicas) {
+  for (const WorldResult& r : g.replicas) {
     const AttackShape s = attack_shape(r, run.opt);
     masked += s.masked;
     violated += s.violated;
-    held += r.holds == 1.0;
+    held += holds(r) == 1.0;
   }
   experiments::print_calibration(first.cal, 4120, 9188, 12'636, 1313);
   if (n > 1) {
@@ -397,7 +292,7 @@ int report_attack(Run& run, bool identical) {
   experiments::print_precision_series(g.series, first.cal.bound.pi_ns, first.cal.gamma_ns,
                                       run.opt.bucket_ns);
 
-  const std::size_t exploits = g.sum(&Replica::exploits);
+  const std::size_t exploits = g.sum(&WorldResult::exploits_rooted);
   const auto st = g.series.stats();
   if (identical) {
     experiments::print_comparison_table(
@@ -440,7 +335,7 @@ int report_attack(Run& run, bool identical) {
 /// (Fig. 5): every emitter reads the one fault-injection run.
 int report_fault_injection(Run& run) {
   const Group& g = run.groups.front();
-  const Replica& first = g.first();
+  const WorldResult& first = g.first();
   const double pi = first.cal.bound.pi_ns;
   const double gamma = first.cal.gamma_ns;
   const std::size_t n = g.replicas.size();
@@ -452,18 +347,18 @@ int report_fault_injection(Run& run) {
   experiments::print_precision_series(g.series, pi, gamma, run.opt.bucket_ns);
 
   const auto st = g.series.stats();
-  const double hours = static_cast<double>(run.opt.horizon_ns) / 3.6e12 * static_cast<double>(n);
+  const double hours =
+      static_cast<double>(run.opt.world.horizon_ns) / 3.6e12 * static_cast<double>(n);
   experiments::print_comparison_table(
       "Section III-C results (scaled to the configured duration)",
       {
           {"duration", "24 h", util::format("%.1f h", hours), ""},
-          {"fail-silent clock sync VMs", "94", std::to_string(g.sum(&Replica::kills)), ""},
-          {"of which GM failures", "48", std::to_string(g.sum(&Replica::gm_kills)), ""},
-          {"CLOCK_SYNCTIME takeovers", "(Fig. 5 stars)", std::to_string(g.sum(&Replica::takeovers)),
-           ""},
-          {"tx timestamp timeouts", "2992", std::to_string(g.sum(&Replica::tx_timeouts)),
+          {"fail-silent clock sync VMs", "94", std::to_string(g.sum(kill_count)), ""},
+          {"of which GM failures", "48", std::to_string(g.sum(gm_kill_count)), ""},
+          {"CLOCK_SYNCTIME takeovers", "(Fig. 5 stars)", std::to_string(g.sum(takeover_count)), ""},
+          {"tx timestamp timeouts", "2992", std::to_string(g.sum(&WorldResult::tx_timeouts)),
            "igb driver issue, modelled stochastically"},
-          {"tx deadline misses", "347", std::to_string(g.sum(&Replica::deadline_misses)), ""},
+          {"tx deadline misses", "347", std::to_string(g.sum(&WorldResult::deadline_misses)), ""},
           {"avg precision", "322 ns", util::format("%.0f ns", st.mean()), ""},
           {"std precision", "421 ns", util::format("%.0f ns", st.stddev()), ""},
           {"min precision", "33 ns", util::format("%.0f ns", st.min()), ""},
@@ -500,9 +395,9 @@ int report_fault_injection(Run& run) {
   std::printf("\nmaximum measured precision: %.0f ns at %s (paper: 10080 ns at 06:45:49)\n"
               "Fig. 5 window: t_ns %lld .. %lld of the first replica's events\n",
               peak, util::hms(peak_t).c_str(), (long long)lo, (long long)hi);
-  experiments::print_event_timeline(first.events, first.series, lo, hi, pi, gamma);
+  experiments::print_event_timeline(first.log, first.series, lo, hi, pi, gamma);
   std::size_t failures = 0, takeovers = 0, app_faults = 0;
-  for (const auto& e : first.events.window(lo, hi)) {
+  for (const auto& e : first.log.window(lo, hi)) {
     failures += e.kind == experiments::EventKind::kVmFailure;
     takeovers += e.kind == experiments::EventKind::kTakeover;
     app_faults += e.kind == experiments::EventKind::kAppFault;
@@ -527,8 +422,8 @@ int report_fault_injection(Run& run) {
   }
   auto& extra = run.manifest.extra;
   extra["duration_h"] = util::format("%g", hours);
-  extra["total_kills"] = std::to_string(g.sum(&Replica::kills));
-  extra["takeovers"] = std::to_string(g.sum(&Replica::takeovers));
+  extra["total_kills"] = std::to_string(g.sum(kill_count));
+  extra["takeovers"] = std::to_string(g.sum(takeover_count));
   extra["holding_fraction"] = util::format("%.6f", g.holds);
   extra["samples"] = std::to_string(g.series.points().size());
   extra["avg_ns"] = util::format("%.1f", st.mean());
@@ -555,7 +450,7 @@ int report_calibration(Run& run) {
     experiments::print_calibration(cal, paper[i].dmin, paper[i].dmax, paper[i].pi,
                                    paper[i].gamma);
     // Sanity: same order of magnitude as the testbed.
-    for (const Replica& r : g.replicas) {
+    for (const WorldResult& r : g.replicas) {
       if (r.cal.bound.pi_ns < 6'000 || r.cal.bound.pi_ns > 25'000) rc = 1;
     }
     run.manifest.extra[util::format("pi_ns_exp%zu", i + 1)] =
@@ -573,7 +468,7 @@ int report_calibration(Run& run) {
 /// to be voted against.
 int report_baseline(Run& run) {
   const auto disagreement = [](const Group& g) {
-    return g.sum(&Replica::gm_disagreement_ns) / static_cast<double>(g.replicas.size());
+    return g.sum(&WorldResult::gm_disagreement_ns) / static_cast<double>(g.replicas.size());
   };
   const Group& paper = run.groups[0];
   const Group& baseline = run.groups[1];
@@ -797,15 +692,18 @@ int run(const util::Config& user) {
                   ? util::format(", %zu worlds, threads=%zu", configs.size(), runner.threads())
                         .c_str()
                   : "");
-  if (!opt.pcap.empty()) {
-    std::printf("capturing the measurement VM's traffic to %s\n", opt.pcap.c_str());
+  if (!opt.world.pcap.empty()) {
+    std::printf("capturing the measurement VM's traffic to %s\n", opt.world.pcap.c_str());
   }
-  if (opt.horizon_ns > 0) {
+  if (opt.world.horizon_ns > 0) {
     std::printf("running the measured phase for %g min...\n",
-                static_cast<double>(opt.horizon_ns) / static_cast<double>(kMinute));
+                static_cast<double>(opt.world.horizon_ns) / static_cast<double>(kMinute));
   }
   auto results = runner.run(configs, [&](const experiments::ScenarioConfig& cfg, std::size_t i) {
-    return run_world(cfg, opt, i == 0);
+    check::WorldSpec spec = opt.world;
+    spec.scenario = cfg;
+    if (i > 0) spec.pcap.clear();
+    return check::run_world(spec);
   });
 
   Run run{opt, {}, runner.threads(), {}};
@@ -818,10 +716,10 @@ int run(const util::Config& user) {
     double held = 0;
     std::size_t samples = 0;
     for (std::size_t s = 0; s < opt.seeds; ++s) {
-      Replica& r = results[v * opt.seeds + s];
+      WorldResult& r = results[v * opt.seeds + s];
       series.push_back(r.series);
       metric_parts.push_back(r.metrics);
-      held += r.holds * static_cast<double>(r.series.points().size());
+      held += holds(r) * static_cast<double>(r.series.points().size());
       samples += r.series.points().size();
       g.replicas.push_back(std::move(r));
     }
